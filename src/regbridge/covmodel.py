@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bridge import floor_index
 from .dataset import (Dataset, IndependenceCopula, QuantileFunction,
@@ -377,6 +376,8 @@ def verify_gram_identity(model, j: int = 0) -> float:
         fixture = IndependenceFixture(model.quantile_funcs)
     else:
         raise ValidationError(f"unsupported model type {type(model).__name__}")
+    from scipy.integrate import quad
+
     G = fixture.gram()
     p = fixture.p
     err = 0.0

@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import ndtr
 
 from .errors import ParseError, SchemaError, ValidationError
 from .rng import philox_stream, as_seed_key
@@ -282,11 +280,15 @@ class QuantileFunction:
 
     def mean(self) -> float:
         """Integral of q over [0, 1]."""
+        from scipy.integrate import quad
+
         return quad(lambda u: float(self(u)), 0.0, 1.0,
                     epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)[0]
 
     def second_moment(self) -> float:
         """Integral of q**2 over [0, 1]."""
+        from scipy.integrate import quad
+
         return quad(lambda u: float(self(u)) ** 2, 0.0, 1.0,
                     epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)[0]
 
@@ -294,6 +296,8 @@ class QuantileFunction:
         """Integral of q over [0, x]."""
         if x == 0.0:
             return 0.0
+        from scipy.integrate import quad
+
         return quad(lambda u: float(self(u)), 0.0, float(x),
                     epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)[0]
 
@@ -432,6 +436,8 @@ class GaussianCopula(Copula):
         return self.correlation.shape[0]
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        from scipy.special import ndtr
+
         z = rng.standard_normal((n, self.dim)) @ self._chol.T
         return ndtr(z)
 

@@ -3,11 +3,14 @@
 The limiting statistic is the integral over [0, 1] of the squared limit
 Gaussian process, summed over ordering slots.  It is approximated on a
 uniform grid t = k/M: the covariance kernel is evaluated on the grid, the
-resulting matrix is factorized through its eigendecomposition with small
-and negative eigenvalues clipped to zero, replicates are drawn as F times
-a standard normal vector, and the squared process is averaged over the
-grid (right-endpoint rule, which is exact in expectation for the pinned
-endpoint since the kernel vanishes at t = 1).
+resulting matrix is eigendecomposed with small and negative eigenvalues
+clipped to zero, and the squared process is averaged over the grid
+(right-endpoint rule, which is exact in expectation for the pinned
+endpoint since the kernel vanishes at t = 1).  With F = V diag(sqrt(w))
+the factor of the clipped matrix, the squared norm of F g is
+sum_k w_k g_k^2 for V orthogonal, so a replicate is drawn as that
+eigenvalue-weighted sum of squared standard normals; the eigenvectors do
+not enter the law.
 
 Clipping is not defensive rounding: with an intercept the kernel is
 exactly degenerate at t = 1, so the grid matrix always has an eigenvalue
@@ -25,7 +28,7 @@ import numpy as np
 
 from .covmodel import CovarianceModel
 from .errors import ValidationError
-from .rng import collapse_seed, philox_stream
+from .rng import ReplicateStreams, collapse_seed
 
 __all__ = [
     "GridSpec",
@@ -62,12 +65,15 @@ class PSDFactor:
     """Factor F with F F' equal to the clipped input matrix.
 
     `clip_count` is the number of eigenvalues that fell below `clip_floor`
-    and were replaced by zero.
+    and were replaced by zero.  `weights` holds the clipped eigenvalues,
+    ascending, one per column of F: F = V diag(sqrt(weights)) with V the
+    orthogonal eigenvectors.
     """
 
     matrix: np.ndarray
     clip_count: int
     clip_floor: float
+    weights: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -140,15 +146,18 @@ def factor_psd(matrix: np.ndarray, clip_floor: float = CLIP_FLOOR) -> PSDFactor:
     wc = np.where(below, 0.0, w)
     F = V * np.sqrt(wc)
     return PSDFactor(matrix=F, clip_count=int(np.count_nonzero(below)),
-                     clip_floor=float(clip_floor))
+                     clip_floor=float(clip_floor), weights=wc)
 
 
 def simulate_null(factor: PSDFactor, replicates: int, grid: GridSpec, seed) -> NullDistribution:
     """Draw the limiting statistic `replicates` times.
 
-    Replicate r uses its own stream keyed (seed, r), so the output is
-    invariant under execution order and chunking.  The factor dimension
-    must be a multiple of the grid size (one block per ordering slot).
+    Replicate r draws a standard normal vector g from its own stream
+    ``philox_stream(seed, r)`` and takes sum_k w_k g_k^2 / m with w the
+    clipped eigenvalues in ``factor.weights``, which equals |F g|^2 / m.
+    The output is invariant under execution order and chunking.  The
+    factor dimension must be a multiple of the grid size (one block per
+    ordering slot).
     """
     if replicates < 100:
         raise ValidationError("need at least 100 replicates for a usable tail")
@@ -157,16 +166,14 @@ def simulate_null(factor: PSDFactor, replicates: int, grid: GridSpec, seed) -> N
         raise ValidationError(
             f"factor dimension {dim} is not a multiple of grid size {grid.m}")
     eff = collapse_seed(seed)
-    F = factor.matrix
+    streams = ReplicateStreams(eff)
     out = np.empty(replicates)
-    G = np.empty((dim, _CHUNK))
+    G = np.empty((min(_CHUNK, replicates), dim))
     for start in range(0, replicates, _CHUNK):
         stop = min(start + _CHUNK, replicates)
-        k = stop - start
-        for c in range(k):
-            G[:, c] = philox_stream(eff, start + c).standard_normal(dim)
-        Z = F @ G[:, :k]
-        out[start:stop] = np.einsum("ij,ij->j", Z, Z) / grid.m
+        g = streams.standard_normal_rows(start, G[:stop - start])
+        np.square(g, out=g)
+        out[start:stop] = np.einsum("ij,j->i", g, factor.weights) / grid.m
     return NullDistribution(samples=np.sort(out), replicates=replicates,
                             grid=grid, clip_count=factor.clip_count)
 

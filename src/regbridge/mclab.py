@@ -24,7 +24,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import nquad
 
 from .adequacy import run_adequacy_test
 from .bridge import (concomitant_sum_process, empirical_field, evaluate,
@@ -140,6 +139,7 @@ def _box_integral(fn, upper: np.ndarray) -> float:
     """Integral of fn over the box [0, u1] x ... x [0, ud]."""
     if np.any(upper == 0.0):
         return 0.0
+    from scipy.integrate import nquad
 
     def integrand(*coords):
         val = np.asarray(fn(np.array(coords)[None, :]), dtype=float)

@@ -308,3 +308,14 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "test" in proc.stdout and "simulate" in proc.stdout
+
+    def test_import_path_skips_scipy_quadrature(self):
+        # `regbridge test` never integrates, so start-up must not pay for
+        # scipy.integrate or scipy.special; the lab imports them on use.
+        code = ("import sys, regbridge, regbridge.cli; "
+                "print(sorted(m for m in ('scipy.integrate', 'scipy.special') "
+                "if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

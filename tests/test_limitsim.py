@@ -122,6 +122,20 @@ class TestFactorPSD:
         assert f.clip_count == 4
         assert np.all(f.matrix == 0.0)
 
+    def test_weights_are_the_clipped_eigenvalues(self):
+        cov = rb.analytic_covariance(rb.fixtures.two_uniform_model())
+        A = rb.build_grid_covariance(cov, rb.GridSpec(30))
+        f = rb.factor_psd(A)
+        w = np.linalg.eigvalsh(A)
+        below = w < f.clip_floor
+        assert f.weights.shape == (f.dim,)
+        assert int(np.count_nonzero(f.weights == 0.0)) == f.clip_count
+        assert int(np.count_nonzero(below)) == f.clip_count
+        assert np.allclose(f.weights[~below], w[~below], rtol=1e-12, atol=0.0)
+        # The factor's columns carry exactly these weights.
+        assert np.allclose(np.sum(f.matrix ** 2, axis=0), f.weights,
+                           rtol=1e-10, atol=1e-15)
+
     def test_bridge_kernel_clips_the_pinned_endpoint(self):
         cov = rb.analytic_covariance(rb.fixtures.single_uniform_model())
         A = rb.build_grid_covariance(cov, rb.GridSpec(50))
