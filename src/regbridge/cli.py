@@ -42,7 +42,7 @@ from .mclab import (SizePowerResult, VerificationReport, size_power_study,
                     verify_bridge_covariance, verify_field_covariance,
                     verify_sum_covariance)
 
-__all__ = ["main", "TestReport", "canonical_json"]
+__all__ = ["main", "TestReport", "canonical_json", "check_schema"]
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -61,6 +61,76 @@ def _load_report_schema() -> dict:
     text = resources.files("regbridge").joinpath(
         "data/test_report.schema.json").read_text()
     return json.loads(text)
+
+
+_SCHEMA_KEYWORDS = frozenset({
+    "type", "required", "properties", "additionalProperties", "items",
+    "minItems", "minimum", "exclusiveMinimum", "maximum"})
+_SCHEMA_ANNOTATIONS = frozenset({"$schema", "title"})
+_JSON_TYPES = {"null": type(None), "boolean": bool, "string": str,
+               "array": list, "object": dict}
+
+
+def _has_type(value, name: str) -> bool:
+    """JSON Schema type test: a bool is no number, 1.0 is an integer."""
+    if name in ("number", "integer"):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return False
+        return name == "number" or isinstance(value, int) or value.is_integer()
+    if name not in _JSON_TYPES:
+        raise ValueError(f"unsupported schema type {name!r}")
+    return isinstance(value, _JSON_TYPES[name])
+
+
+def check_schema(value, schema: dict, path: str = "$") -> None:
+    """Raise ValueError, naming the JSON path, where `value` breaks `schema`.
+
+    Interprets the keyword subset the shipped report schema uses: `type`
+    (a name or a list of names), `required`, `properties`,
+    `additionalProperties: false`, `items`, `minItems`, `minimum`,
+    `exclusiveMinimum` and `maximum`, with JSON Schema's semantics (each
+    keyword applies only to values of its own kind).  The annotations
+    `$schema` and `title` are ignored; any other keyword, or an
+    `additionalProperties` other than false, is refused, so the schema
+    cannot silently outgrow the checker.
+    """
+    unknown = schema.keys() - _SCHEMA_KEYWORDS - _SCHEMA_ANNOTATIONS
+    if schema.get("additionalProperties", False) is not False:
+        unknown.add("additionalProperties")
+    if unknown:
+        raise ValueError(f"{path}: unsupported schema keywords {sorted(unknown)}")
+
+    def fail(message: str):
+        raise ValueError(f"{path}: {message}")
+
+    names = schema.get("type", ())
+    names = [names] if isinstance(names, str) else names
+    if names and not any(_has_type(value, name) for name in names):
+        fail(f"{value!r} is not of type {' or '.join(names)}")
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        missing = [k for k in schema.get("required", ()) if k not in value]
+        if missing:
+            fail(f"missing required properties {missing}")
+        extra = value.keys() - props.keys()
+        if "additionalProperties" in schema and extra:
+            fail(f"unexpected properties {sorted(extra)}")
+        for key, sub in props.items():
+            if key in value:
+                check_schema(value[key], sub, f"{path}.{key}")
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            fail(f"fewer than {schema['minItems']} items")
+        if "items" in schema:
+            for i, item in enumerate(value):
+                check_schema(item, schema["items"], f"{path}[{i}]")
+    elif _has_type(value, "number"):
+        if "minimum" in schema and value < schema["minimum"]:
+            fail(f"{value!r} is less than {schema['minimum']!r}")
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            fail(f"{value!r} is not above {schema['exclusiveMinimum']!r}")
+        if "maximum" in schema and value > schema["maximum"]:
+            fail(f"{value!r} is greater than {schema['maximum']!r}")
 
 
 # ======================================================================
@@ -110,10 +180,18 @@ class TestReport:
         }
 
     def validated_json(self) -> str:
-        import jsonschema
+        """Canonical JSON of the report, checked against the shipped schema.
 
+        Every call checks the payload against the shipped
+        `data/test_report.schema.json` with `check_schema`, which
+        interprets the keyword subset that schema uses: `type`, `required`,
+        `properties`, `additionalProperties: false`, `items`, `minItems`,
+        `minimum`, `exclusiveMinimum` and `maximum`.  A failure raises
+        ValueError, which is a program bug rather than an input error, so
+        it escapes `main` instead of mapping to an exit code.
+        """
         payload = self.to_json_dict()
-        jsonschema.validate(payload, _load_report_schema())
+        check_schema(payload, _load_report_schema())
         return canonical_json(payload)
 
 

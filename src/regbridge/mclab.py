@@ -20,7 +20,6 @@ zero by construction.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -401,7 +400,9 @@ def size_power_study(model: SyntheticModel, breach, n_values, level: float,
     the data and (seed, r, 1) for the null simulation, so rates across
     sample sizes are comparable under common randomness.  With n_jobs > 1
     replicates run in a process pool; results are reduced in replicate
-    order, so the output does not depend on scheduling.
+    order, so the output does not depend on scheduling.  The pool is
+    imported only when n_jobs > 1, so callers that stay in-process never
+    load `concurrent.futures` or `multiprocessing`.
     """
     t0 = time.perf_counter()
     if not 0.0 < level <= 1.0:
@@ -416,6 +417,8 @@ def size_power_study(model: SyntheticModel, breach, n_values, level: float,
         cases = [(model, breach, n, inner_replicates, grid_m, level,
                   key + (r, 0), key + (r, 1)) for r in range(replicates)]
         if n_jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=n_jobs) as pool:
                 chunk = max(1, replicates // (n_jobs * 8))
                 pvals = list(pool.map(_study_case, cases, chunksize=chunk))

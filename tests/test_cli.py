@@ -1,15 +1,20 @@
 """Command-line driver: subcommands, report format, and exit codes."""
 
+import copy
 import csv
+import functools
 import json
+import operator
 import subprocess
 import sys
 
+import jsonschema
 import numpy as np
 import pytest
 
+from regbridge import cli
 from regbridge.cli import (EXIT_INPUT, EXIT_OK, EXIT_SINGULAR, EXIT_TOLERANCE,
-                           canonical_json, main)
+                           canonical_json, check_schema, main)
 
 
 def run_simulate(tmp_path, name="data.csv", n=120, seed=3, extra=()):
@@ -319,3 +324,125 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_import_path_skips_jsonschema_and_process_pool(self):
+        # Reports are checked in-process and the lab imports its pool only
+        # for n_jobs > 1, so start-up loads neither.
+        code = ("import sys, regbridge, regbridge.cli; "
+                "print(sorted(m for m in ('jsonschema', "
+                "'concurrent.futures.process', 'multiprocessing') "
+                "if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_test_run_never_imports_jsonschema(self, tmp_path):
+        data_path = run_simulate(tmp_path, n=60)
+        argv = ["test", "--input", str(data_path), "--response", "y",
+                "--order-columns", "x1", "--intercept", "const",
+                "--grid", "10", "--replicates", "150",
+                "--out", str(tmp_path / "r.json")]
+        code = ("import sys; from regbridge.cli import main; "
+                f"rc = main({argv!r}); print(rc, 'jsonschema' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == f"{EXIT_OK} False"
+
+
+# ======================================================================
+# report schema checker
+# ======================================================================
+
+REPORT_SCHEMA = cli._load_report_schema()
+SUBSTITUTES = (None, True, 0, -1, 1.0, 2.5, -0.5, float("nan"), "s", [], {})
+
+
+def _at(obj, path):
+    return functools.reduce(operator.getitem, path, obj)
+
+
+def _node_paths(value, path=()):
+    yield path
+    children = (value.items() if isinstance(value, dict)
+                else enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield from _node_paths(child, path + (key,))
+
+
+def _mutants(report):
+    """Every single-node substitution, key deletion and extra key."""
+    for path in _node_paths(report):
+        for sub in SUBSTITUTES:
+            if not path:
+                yield copy.deepcopy(sub)
+                continue
+            mutant = copy.deepcopy(report)
+            _at(mutant, path[:-1])[path[-1]] = copy.deepcopy(sub)
+            yield mutant
+        if isinstance(_at(report, path), dict):
+            for key in _at(report, path):
+                mutant = copy.deepcopy(report)
+                del _at(mutant, path)[key]
+                yield mutant
+            mutant = copy.deepcopy(report)
+            _at(mutant, path)["extra"] = 0
+            yield mutant
+
+
+@pytest.fixture
+def real_report(tmp_path):
+    path = tmp_path / "two.csv"
+    assert main(["simulate", "--model", "h0", "--n", "80", "--seed", "5",
+                 "--order-dim", "2", "--out", str(path)]) == EXIT_OK
+    out = tmp_path / "r.json"
+    assert main(["test", "--input", str(path), "--response", "y",
+                 "--order-columns", "x1,x2", "--intercept", "const",
+                 "--grid", "10", "--replicates", "150", "--seed", "2",
+                 "--out", str(out)]) == EXIT_OK
+    return json.loads(out.read_text())
+
+
+class TestReportSchemaChecker:
+    def test_shipped_schema_passes_metaschema(self):
+        jsonschema.Draft202012Validator.check_schema(REPORT_SCHEMA)
+
+    def test_agrees_with_jsonschema_on_every_mutant(self, real_report):
+        validator = jsonschema.Draft202012Validator(REPORT_SCHEMA)
+        check_schema(real_report, REPORT_SCHEMA)
+        invalid = 0
+        for mutant in _mutants(real_report):
+            valid = validator.is_valid(mutant)
+            try:
+                check_schema(mutant, REPORT_SCHEMA)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == valid, repr(mutant)
+            invalid += not valid
+        assert invalid > 300
+
+    def test_error_names_json_path(self, real_report):
+        real_report["bridges"][1]["max_abs"] = -1.0
+        with pytest.raises(ValueError, match=r"^\$\.bridges\[1\]\.max_abs: "):
+            check_schema(real_report, REPORT_SCHEMA)
+
+    @pytest.mark.parametrize("value, schema", [
+        ("x", {"type": "string", "pattern": "^x"}),
+        ({"a": "b"}, {"type": "object", "additionalProperties": {}}),
+        ("x", {"type": "text"}),
+    ])
+    def test_unsupported_schema_is_refused(self, value, schema):
+        with pytest.raises(ValueError, match="unsupported"):
+            check_schema(value, schema)
+
+    def test_broken_report_escapes_main(self, tmp_path, monkeypatch):
+        # A report that fails its own schema is a program bug, not an
+        # input error, so it must not become exit code 1.
+        to_json_dict = cli.TestReport.to_json_dict
+        monkeypatch.setattr(cli.TestReport, "to_json_dict",
+                            lambda self: {**to_json_dict(self), "p_value": 1.5})
+        data_path = run_simulate(tmp_path, n=60)
+        with pytest.raises(ValueError, match=r"^\$\.p_value: "):
+            run_test(tmp_path, data_path)
