@@ -6,7 +6,16 @@ into one omega-squared statistic, and calibrates it against a simulated
 draw of the limiting Gaussian functional whose covariance kernel is
 estimated from the same data.  A built-in Monte Carlo lab checks the
 distributional claims behind the calibration at desk scale.
+
+The lab loads on first use: the submodule `fixtures` and the `mclab`
+names (`ErrorCell`, `VerificationReport`, `SizePowerResult`,
+`verify_field_covariance`, `verify_sum_covariance`,
+`verify_bridge_covariance`, `size_power_study`) resolve through the
+module-level ``__getattr__``, so ``import regbridge`` and a
+``regbridge test`` run never import them.
 """
+
+from importlib import import_module as _import_module
 
 from .errors import (RegBridgeError, SchemaError, ParseError, ValidationError,
                      SingularDesignError, DegenerateModelError,
@@ -33,10 +42,6 @@ from .limitsim import (GridSpec, PSDFactor, NullDistribution,
                        build_grid_covariance, factor_psd, simulate_null,
                        p_value, write_null_samples_csv, CLIP_FLOOR)
 from .adequacy import AdequacyResult, run_adequacy_test
-from .mclab import (ErrorCell, VerificationReport, SizePowerResult,
-                    verify_field_covariance, verify_sum_covariance,
-                    verify_bridge_covariance, size_power_study)
-from . import fixtures
 
 __version__ = "0.1.0"
 
@@ -69,3 +74,20 @@ __all__ = [
     "verify_bridge_covariance", "size_power_study",
     "fixtures",
 ]
+
+_LAZY_MCLAB = frozenset({
+    "ErrorCell", "VerificationReport", "SizePowerResult",
+    "verify_field_covariance", "verify_sum_covariance",
+    "verify_bridge_covariance", "size_power_study"})
+
+
+def __getattr__(name):
+    if name == "fixtures":
+        return _import_module(".fixtures", __name__)
+    if name in _LAZY_MCLAB:
+        return getattr(_import_module(".mclab", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -35,12 +35,7 @@ from .dataset import (AddQuadratic, AffineQuantile, ColumnSchema,
 from .covmodel import verify_gram_identity
 from .errors import (DegenerateModelError, ParseError, RegBridgeError,
                      SchemaError, SingularDesignError, ValidationError)
-from .fixtures import (get_gram_case, get_model, load_experiment_defaults,
-                       quadratic_breach)
 from .limitsim import write_null_samples_csv
-from .mclab import (SizePowerResult, VerificationReport, size_power_study,
-                    verify_bridge_covariance, verify_field_covariance,
-                    verify_sum_covariance)
 
 __all__ = ["main", "TestReport", "canonical_json", "check_schema"]
 
@@ -53,8 +48,13 @@ _EXPERIMENTS = ("field", "sums", "bridges", "size", "power", "gram-identity")
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON rendering: sorted keys, fixed layout, newline end."""
-    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """Deterministic JSON rendering: sorted keys, fixed layout, newline end.
+
+    NaN and infinities are not JSON, so a payload holding one raises
+    ValueError (a program bug) instead of being written as ``NaN``.
+    """
+    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False,
+                      allow_nan=False) + "\n"
 
 
 def _load_report_schema() -> dict:
@@ -317,6 +317,9 @@ def _size_band(level: float, nominal: float, halfwidth: float) -> float:
 
 
 def _run_cell_experiment(name: str, cfg: dict):
+    from .fixtures import get_model
+    from .mclab import (verify_bridge_covariance, verify_field_covariance,
+                        verify_sum_covariance)
     model = get_model(cfg["model"])
     if name == "field":
         return verify_field_covariance(model, cfg["n"], cfg["replicates"],
@@ -338,6 +341,10 @@ def cmd_verify(args) -> int:
         raise ValidationError(
             f"unknown experiment {args.experiment!r}; choose from "
             f"{', '.join(_EXPERIMENTS)}")
+    # The lab stays off the import path of `test` and `simulate`.
+    from .fixtures import (get_gram_case, get_model, load_experiment_defaults,
+                           quadratic_breach)
+    from .mclab import size_power_study
     defaults = load_experiment_defaults()
     name = args.experiment
     overrides = {"n": "n", "replicates": "replicates", "seed": "seed",

@@ -93,11 +93,34 @@ class NullDistribution:
         s = np.asarray(self.samples, dtype=float)
         if s.shape != (self.replicates,):
             raise ValidationError("sample count must equal the replicate count")
+        if not np.all(s[1:] >= s[:-1]):
+            raise ValidationError("samples must be sorted ascending")
         object.__setattr__(self, "samples", s)
 
     def quantile(self, q) -> np.ndarray | float:
-        out = np.quantile(self.samples, q)
-        return float(out) if np.ndim(q) == 0 else out
+        """Quantile by numpy's default 'linear' rule, read off the sorted sample.
+
+        With v = (n - 1) q, lo = floor(v) and hi = min(lo + 1, n - 1), the
+        quantile interpolates samples[lo] and samples[hi] at t = v - lo in
+        the two-sided form of numpy's ``_lerp``.  On a sample free of -0.0
+        (null samples are sums of squares) it therefore equals
+        ``np.quantile(samples, q)`` bit for bit, without partitioning the
+        already sorted sample (``np.quantile``'s first call also imports
+        ``numpy.ma``).  A float for scalar `q`, an array for array `q`.
+        """
+        q = np.asarray(q)
+        if not np.all((q >= 0) & (q <= 1)):
+            raise ValueError("Quantiles must be in the range [0, 1]")
+        s = self.samples
+        n = s.size
+        v = (n - 1) * q
+        lo = np.clip(np.floor(v), 0, n - 1).astype(np.intp)
+        hi = np.minimum(lo + 1, n - 1)
+        t = np.asarray(v - lo, dtype=v.dtype)
+        a, b = s[lo], s[hi]
+        diff = b - a
+        out = np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+        return float(out) if q.ndim == 0 else out
 
     def mean(self) -> float:
         return float(self.samples.mean())

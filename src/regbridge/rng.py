@@ -57,16 +57,22 @@ class ReplicateStreams:
     and an empty buffer, exactly the state ``philox_stream(seed, r)``
     starts in.  Row c of the output of `standard_normal_rows` is therefore
     bit-identical to ``philox_stream(seed, first + c).standard_normal(dim)``.
+
+    The state dict holds its counter, key and buffer as plain lists of
+    Python ints, and re-keying writes ``key[1]`` in place: the state setter
+    reads those words one element at a time, and from a numpy array each
+    read would build a numpy scalar, which made the re-key cost about as
+    much as the draw of a few hundred normals.
     """
 
     def __init__(self, seed: int):
         self._bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
         self._gen = np.random.Generator(self._bitgen)
-        self._key = np.array([int(seed) % _WORD, 0], dtype=np.uint64)
+        self._key = [int(seed) % _WORD, 0]
         self._state = {
             "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key},
-            "buffer": np.zeros(4, dtype=np.uint64),
+            "state": {"counter": [0, 0, 0, 0], "key": self._key},
+            "buffer": [0, 0, 0, 0],
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
@@ -74,10 +80,12 @@ class ReplicateStreams:
 
     def standard_normal_rows(self, first: int, out: np.ndarray) -> np.ndarray:
         """Fill row c of the C-contiguous 2-D `out` from stream first + c."""
-        for c in range(out.shape[0]):
-            self._key[1] = first + c
-            self._bitgen.state = self._state
-            self._gen.standard_normal(out=out[c])
+        bitgen, state, key = self._bitgen, self._state, self._key
+        standard_normal = self._gen.standard_normal
+        for r, row in enumerate(out, first):
+            key[1] = r
+            bitgen.state = state
+            standard_normal(out=row)
         return out
 
 

@@ -337,6 +337,56 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_import_path_skips_lab(self):
+        # `fixtures` and `mclab` load on first use of a lab name.
+        code = ("import sys, regbridge, regbridge.cli; "
+                "print(sorted(m for m in ('regbridge.mclab', "
+                "'regbridge.fixtures') if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_test_run_skips_lab_and_numpy_ma(self, tmp_path):
+        data_path = run_simulate(tmp_path, n=60)
+        argv = ["test", "--input", str(data_path), "--response", "y",
+                "--order-columns", "x1", "--intercept", "const",
+                "--grid", "10", "--replicates", "150",
+                "--out", str(tmp_path / "r.json")]
+        code = ("import sys; from regbridge.cli import main; "
+                f"rc = main({argv!r}); print(rc, sorted(m for m in "
+                "('numpy.ma', 'regbridge.mclab', 'regbridge.fixtures') "
+                "if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == f"{EXIT_OK} []"
+
+    def test_public_names_resolve(self):
+        import regbridge
+        listed = dir(regbridge)
+        for name in regbridge.__all__:
+            assert getattr(regbridge, name) is not None, name
+            assert name in listed, name
+        star = {}
+        exec("from regbridge import *", star)
+        assert set(regbridge.__all__) <= star.keys()
+        assert star["size_power_study"].__module__ == "regbridge.mclab"
+        assert star["fixtures"].__name__ == "regbridge.fixtures"
+
+    def test_unknown_attribute_raises(self):
+        import regbridge
+        with pytest.raises(AttributeError, match="no_such_name"):
+            regbridge.no_such_name
+
+    def test_verify_runs_in_fresh_interpreter(self):
+        # The lab imports inside `cmd_verify` must work from a cold start.
+        proc = subprocess.run(
+            [sys.executable, "-m", "regbridge.cli", "verify",
+             "--experiment", "gram-identity"], capture_output=True, text=True)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "experiment 'gram-identity': PASS" in proc.stdout
+
     def test_test_run_never_imports_jsonschema(self, tmp_path):
         data_path = run_simulate(tmp_path, n=60)
         argv = ["test", "--input", str(data_path), "--response", "y",
@@ -446,3 +496,19 @@ class TestReportSchemaChecker:
         data_path = run_simulate(tmp_path, n=60)
         with pytest.raises(ValueError, match=r"^\$\.p_value: "):
             run_test(tmp_path, data_path)
+
+    @pytest.mark.parametrize("patch", [
+        {"p_value": float("nan")},
+        {"sigma2_hat": float("inf")},
+        {"null_quantiles": {"0.9": float("nan"), "0.95": 1.0, "0.99": 2.0}},
+    ])
+    def test_non_finite_report_escapes_main(self, tmp_path, monkeypatch, patch):
+        # NaN passes every schema bound and inf passes the lower ones, but
+        # neither is JSON, so writing the report must fail, and write nothing.
+        to_json_dict = cli.TestReport.to_json_dict
+        monkeypatch.setattr(cli.TestReport, "to_json_dict",
+                            lambda self: {**to_json_dict(self), **patch})
+        data_path = run_simulate(tmp_path, n=60)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            run_test(tmp_path, data_path)
+        assert not (tmp_path / "report.json").exists()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import regbridge as rb
 import regbridge.limitsim as limitsim
@@ -233,6 +235,86 @@ class TestNullDistribution:
         with pytest.raises(ValidationError):
             rb.NullDistribution(samples=np.zeros(5), replicates=6,
                                 grid=rb.GridSpec(5), clip_count=0)
+
+    def test_unsorted_samples_rejected(self):
+        with pytest.raises(ValidationError, match="sorted"):
+            rb.NullDistribution(samples=np.array([1.0, 3.0, 2.0]), replicates=3,
+                                grid=rb.GridSpec(5), clip_count=0)
+
+    def test_quantile_range_checked(self):
+        null = self.make_null()
+        for q in (-0.1, 1.5, float("nan"), [0.5, 2.0]):
+            with pytest.raises(ValueError, match="range"):
+                null.quantile(q)
+
+
+@st.composite
+def sorted_samples(draw, parity):
+    """Sorted sample of n = 2k + parity values, most of them repeated.
+
+    Adding 0.0 turns -0.0 into 0.0, as in null samples, which are sums of
+    squares: -0.0 compares equal to 0.0, so the sorted order of signed
+    zeros, and with it the sign of a zero quantile, is not unique.
+    """
+    n = 2 * draw(st.integers(1 - parity, 150)) + parity
+    pool = draw(st.lists(st.floats(-1e6, 1e6).map(lambda x: x + 0.0),
+                         min_size=1, max_size=n))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n,
+                          max_size=n))
+    return np.sort(np.array(pool)[picks])
+
+
+def as_null(samples):
+    return rb.NullDistribution(samples=samples, replicates=samples.size,
+                               grid=rb.GridSpec(10), clip_count=0)
+
+
+UNIT = st.floats(0.0, 1.0)
+# The ends, and midpoints, where t = 0.5 picks the second form of the lerp.
+EXACT_Q = (0.0, 1.0, 0, 1, 0.25, 0.5, 0.75)
+
+
+class TestQuantileOracle:
+    """`NullDistribution.quantile` against np.quantile, bit for bit."""
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_scalar_q(self, parity, data):
+        samples = data.draw(sorted_samples(parity))
+        q = data.draw(st.one_of(UNIT, st.sampled_from(EXACT_Q)))
+        got = as_null(samples).quantile(q)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.quantile(samples, q).tobytes()
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_array_q(self, parity, data):
+        samples = data.draw(sorted_samples(parity))
+        q = data.draw(st.one_of(
+            arrays(np.float64, st.integers(1, 12), elements=UNIT),
+            arrays(np.float64, (2, 3), elements=UNIT),
+            st.just(np.array(EXACT_Q[:2] + EXACT_Q[4:])),
+            st.just(np.array([0, 1]))))
+        got = as_null(samples).quantile(q)
+        expect = np.quantile(samples, q)
+        assert isinstance(got, np.ndarray)
+        assert got.shape == expect.shape and got.dtype == expect.dtype
+        assert got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("n", [100, 101, 2000])
+    def test_midpoints_of_a_continuous_sample(self, n):
+        # At t = 0.5 the two forms of the lerp round differently for about
+        # one pair of random neighbours in seven.
+        rng = np.random.default_rng(n)
+        samples = np.sort(rng.standard_normal(n) ** 2)
+        q = np.concatenate([(np.arange(n - 1) + 0.5) / (n - 1), rng.random(200)])
+        null = as_null(samples)
+        assert null.quantile(q).tobytes() == np.quantile(samples, q).tobytes()
+        for x in q[::5].tolist():
+            assert (np.float64(null.quantile(x)).tobytes()
+                    == np.quantile(samples, x).tobytes())
 
 
 class TestPValue:
