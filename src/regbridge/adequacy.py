@@ -60,8 +60,8 @@ def run_adequacy_test(data: Dataset, grid_m: int = 100, replicates: int = 10000,
     stat = omega_sq(bridges)
     cov = empirical_covariance(data, views, gram=fit.gram)
     grid = GridSpec(grid_m)
-    factor = factor_psd(build_grid_covariance(cov, grid), clip_floor)
-    null = simulate_null(factor, replicates, grid, seed)
+    spectrum = factor_psd(build_grid_covariance(cov, grid), clip_floor)
+    null = simulate_null(spectrum, replicates, grid, seed)
     return AdequacyResult(fit=fit, bridges=bridges, statistic=stat,
                           covariance=cov, null=null,
                           p_value=p_value(stat, null), level=level)

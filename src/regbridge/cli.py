@@ -33,8 +33,8 @@ from .dataset import (AddQuadratic, AffineQuantile, ColumnSchema,
                       exchangeable_correlation, load_csv, sample_alternative,
                       sample_h0, write_csv)
 from .covmodel import verify_gram_identity
-from .errors import (DegenerateModelError, ParseError, RegBridgeError,
-                     SchemaError, SingularDesignError, ValidationError)
+from .errors import (DegenerateModelError, RegBridgeError, SingularDesignError,
+                     ValidationError)
 from .limitsim import write_null_samples_csv
 
 __all__ = ["main", "TestReport", "canonical_json", "check_schema"]
@@ -43,9 +43,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_SINGULAR = 3
 EXIT_TOLERANCE = 4
-
-_EXPERIMENTS = ("field", "sums", "bridges", "size", "power", "gram-identity")
-
 
 def canonical_json(obj) -> str:
     """Deterministic JSON rendering: sorted keys, fixed layout, newline end.
@@ -296,14 +293,10 @@ def cmd_simulate(args) -> int:
 # verify subcommand
 # ======================================================================
 
-def _merged(cfg: dict, args, keys: dict) -> dict:
-    """Fixture defaults with non-None CLI overrides applied."""
-    out = dict(cfg)
-    for cli_name, cfg_name in keys.items():
-        value = getattr(args, cli_name)
-        if value is not None:
-            out[cfg_name] = value
-    return out
+# Fixture fields that the verify flags override when given.
+_OVERRIDES = {"n": "n", "replicates": "replicates", "seed": "seed",
+              "inner_replicates": "inner_replicates", "alpha": "level",
+              "grid": "grid_m"}
 
 
 def _size_band(level: float, nominal: float, halfwidth: float) -> float:
@@ -316,137 +309,129 @@ def _size_band(level: float, nominal: float, halfwidth: float) -> float:
                                  / (nominal * (1.0 - nominal)))
 
 
-def _run_cell_experiment(name: str, cfg: dict):
-    from .fixtures import get_model
-    from .mclab import (verify_bridge_covariance, verify_field_covariance,
-                        verify_sum_covariance)
-    model = get_model(cfg["model"])
-    if name == "field":
-        return verify_field_covariance(model, cfg["n"], cfg["replicates"],
-                                       np.asarray(cfg["queries"], dtype=float),
-                                       cfg["seed"], cfg["tolerance"])
-    if name == "sums":
-        return verify_sum_covariance(model, cfg["n"], cfg["replicates"],
-                                     np.asarray(cfg["levels"], dtype=float),
-                                     cfg["seed"], cfg["tolerance"])
-    if name == "bridges":
-        return verify_bridge_covariance(model, cfg["n"], cfg["replicates"],
-                                        np.asarray(cfg["levels"], dtype=float),
-                                        cfg["seed"], cfg["tolerance"])
-    raise ValidationError(f"unknown experiment {name!r}")
+def _pass(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
+
+
+def _cells(verify_name: str, points: str):
+    """Runner of one case of a moment-comparison experiment in `mclab`."""
+    def run(cfg: dict, args, table: str | None):
+        from . import fixtures, mclab
+        rep = getattr(mclab, verify_name)(
+            fixtures.get_model(cfg["model"]), cfg["n"], cfg["replicates"],
+            np.asarray(cfg[points], dtype=float), cfg["seed"], cfg["tolerance"])
+        if table:
+            rep.write_cells_csv(table)
+        return rep.to_json_dict(), [
+            f"{rep.experiment}[{cfg['model']}]: max |emp - target| = "
+            f"{rep.max_abs_error:.4f} (tolerance {rep.tolerance:g}) "
+            f"{_pass(rep.passed)}"], rep.passed
+    return run
+
+
+def _study(cfg: dict, args, breach=None):
+    from . import fixtures, mclab
+    return mclab.size_power_study(
+        fixtures.get_model(cfg["model"]), breach, cfg["n_values"], cfg["level"],
+        cfg["replicates"], cfg["seed"], inner_replicates=cfg["inner_replicates"],
+        grid_m=cfg["grid_m"], n_jobs=args.n_jobs)
+
+
+def _judged(study, checks: list[str], passed: bool):
+    payload = {**study.to_json_dict(), "checks": checks, "passed": passed}
+    return payload, checks, passed
+
+
+def _run_size(cfg: dict, args, table):
+    study, level = _study(cfg, args), cfg["level"]
+    band = _size_band(level, cfg["nominal_level"],
+                      cfg["band_halfwidth_at_nominal"])
+    oks = [abs(rate - level) <= band for rate in study.rates]
+    checks = [f"n={n}: rate {rate:.4f} vs level {level:g} "
+              f"(band +/-{band:.4f}) {_pass(ok)}"
+              for n, rate, ok in zip(study.n_values, study.rates, oks)]
+    return _judged(study, checks, all(oks))
+
+
+def _run_power(cfg: dict, args, table):
+    from .fixtures import quadratic_breach
+    breach = cfg["breach"]
+    if breach["kind"] != "add-quadratic":
+        raise ValidationError(f"unknown breach kind {breach['kind']!r}")
+    study = _study(cfg, args, quadratic_breach(breach["coef"], breach["column"]))
+    rates = study.rates
+    floor = cfg["min_rate_ratio"] * cfg["level"]
+    mono = all(b >= a for a, b in zip(rates, rates[1:]))
+    exceeds = rates[-1] > floor
+    checks = ["rates " + " -> ".join(f"{r:.4f}" for r in rates)
+              + f" nondecreasing {_pass(mono)}",
+              f"rate at n={study.n_values[-1]} is {rates[-1]:.4f} > {floor:g} "
+              f"{_pass(exceeds)}"]
+    return _judged(study, checks, mono and exceeds)
+
+
+def _run_gram_identity(cfg: dict, args, table):
+    from .fixtures import get_gram_case
+    tol = cfg["tolerance"]
+    cells = [{"case": case,
+              "max_abs_error": verify_gram_identity(get_gram_case(case), 0)}
+             for case in cfg["cases"]]
+    lines = [f"gram-identity[{c['case']}]: max error {c['max_abs_error']:.2e} "
+             f"{_pass(c['max_abs_error'] <= tol)}" for c in cells]
+    worst = max(c["max_abs_error"] for c in cells)
+    return ({"experiment": "gram-identity", "tolerance": tol,
+             "max_abs_error": worst, "passed": worst <= tol, "cells": cells},
+            lines, worst <= tol)
+
+
+# Each runner takes one merged fixture case, the parsed arguments and the
+# cell-table path (or None), and returns its payload, its printed lines
+# and its pass flag.  Experiments in `_PER_CASE` run once per entry of
+# their fixture's "cases"; the others take their fixture whole.
+_EXPERIMENTS = {
+    "field": _cells("verify_field_covariance", "queries"),
+    "sums": _cells("verify_sum_covariance", "levels"),
+    "bridges": _cells("verify_bridge_covariance", "levels"),
+    "size": _run_size,
+    "power": _run_power,
+    "gram-identity": _run_gram_identity,
+}
+_PER_CASE = frozenset({"field", "sums", "bridges"})
 
 
 def cmd_verify(args) -> int:
-    if args.experiment not in _EXPERIMENTS:
-        raise ValidationError(
-            f"unknown experiment {args.experiment!r}; choose from "
-            f"{', '.join(_EXPERIMENTS)}")
-    # The lab stays off the import path of `test` and `simulate`.
-    from .fixtures import (get_gram_case, get_model, load_experiment_defaults,
-                           quadratic_breach)
-    from .mclab import size_power_study
-    defaults = load_experiment_defaults()
     name = args.experiment
-    overrides = {"n": "n", "replicates": "replicates", "seed": "seed",
-                 "inner_replicates": "inner_replicates", "alpha": "level",
-                 "grid": "grid_m"}
+    if name not in _EXPERIMENTS:
+        raise ValidationError(
+            f"unknown experiment {name!r}; choose from "
+            f"{', '.join(_EXPERIMENTS)}")
+    from .fixtures import load_experiment_defaults
+    fixture = load_experiment_defaults()[name]
+    cases = fixture.get("cases", [fixture]) if name in _PER_CASE else [fixture]
+    overrides = {key: getattr(args, flag) for flag, key in _OVERRIDES.items()
+                 if getattr(args, flag) is not None}
+    if args.n is not None:
+        overrides["n_values"] = [args.n]
 
-    reports: list[dict] = []
-    passed = True
-    lines: list[str] = []
+    results = []
+    for case in cases:
+        table = args.emit_table
+        if table and len(cases) > 1:
+            root, ext = os.path.splitext(table)
+            table = f"{root}_{case['model']}{ext or '.csv'}"
+        results.append(_EXPERIMENTS[name]({**case, **overrides}, args, table))
+    reports, lines, oks = zip(*results)
+    passed = all(oks)
 
-    if name in ("field", "sums", "bridges"):
-        cases = defaults[name].get("cases") or [defaults[name]]
-        for cfg in cases:
-            cfg = _merged(cfg, args, overrides)
-            rep = _run_cell_experiment(name, cfg)
-            reports.append(rep.to_json_dict())
-            passed &= rep.passed
-            lines.append(
-                f"{name}[{cfg['model']}]: max |emp - target| = "
-                f"{rep.max_abs_error:.4f} (tolerance {rep.tolerance:g}) "
-                f"{'PASS' if rep.passed else 'FAIL'}")
-            if args.emit_table:
-                path = args.emit_table
-                if len(cases) > 1:
-                    root, ext = os.path.splitext(path)
-                    path = f"{root}_{cfg['model']}{ext or '.csv'}"
-                rep.write_cells_csv(path)
-    elif name == "size":
-        cfg = _merged(defaults[name], args, overrides)
-        if args.n is not None:
-            cfg["n_values"] = [args.n]
-        study = size_power_study(get_model(cfg["model"]), None,
-                                 cfg["n_values"], cfg["level"],
-                                 cfg["replicates"], cfg["seed"],
-                                 inner_replicates=cfg["inner_replicates"],
-                                 grid_m=cfg["grid_m"], n_jobs=args.n_jobs)
-        band = _size_band(cfg["level"], cfg["nominal_level"],
-                          cfg["band_halfwidth_at_nominal"])
-        checks = []
-        for n, rate in zip(study.n_values, study.rates):
-            ok = abs(rate - cfg["level"]) <= band
-            passed &= ok
-            checks.append(f"n={n}: rate {rate:.4f} vs level {cfg['level']:g} "
-                          f"(band +/-{band:.4f}) {'PASS' if ok else 'FAIL'}")
-        out = study.to_json_dict()
-        out["checks"] = checks
-        out["passed"] = passed
-        reports.append(out)
-        lines.extend(checks)
-    elif name == "power":
-        cfg = _merged(defaults[name], args, overrides)
-        if args.n is not None:
-            cfg["n_values"] = [args.n]
-        breach_cfg = cfg["breach"]
-        if breach_cfg["kind"] != "add-quadratic":
-            raise ValidationError(f"unknown breach kind {breach_cfg['kind']!r}")
-        breach = quadratic_breach(breach_cfg["coef"], breach_cfg["column"])
-        study = size_power_study(get_model(cfg["model"]), breach,
-                                 cfg["n_values"], cfg["level"],
-                                 cfg["replicates"], cfg["seed"],
-                                 inner_replicates=cfg["inner_replicates"],
-                                 grid_m=cfg["grid_m"], n_jobs=args.n_jobs)
-        rates = study.rates
-        mono = all(b >= a for a, b in zip(rates, rates[1:]))
-        floor = cfg["min_rate_ratio"] * cfg["level"]
-        exceeds = rates[-1] > floor
-        passed = mono and exceeds
-        checks = [
-            "rates " + " -> ".join(f"{r:.4f}" for r in rates)
-            + f" nondecreasing {'PASS' if mono else 'FAIL'}",
-            f"rate at n={study.n_values[-1]} is {rates[-1]:.4f} > {floor:g} "
-            f"{'PASS' if exceeds else 'FAIL'}",
-        ]
-        out = study.to_json_dict()
-        out["checks"] = checks
-        out["passed"] = passed
-        reports.append(out)
-        lines.extend(checks)
-    else:  # gram-identity
-        cfg = defaults[name]
-        tol = cfg["tolerance"]
-        cells = []
-        worst = 0.0
-        for case in cfg["cases"]:
-            err = verify_gram_identity(get_gram_case(case), 0)
-            worst = max(worst, err)
-            cells.append({"case": case, "max_abs_error": err})
-            lines.append(f"gram-identity[{case}]: max error {err:.2e} "
-                         f"{'PASS' if err <= tol else 'FAIL'}")
-        passed = worst <= tol
-        reports.append({"experiment": name, "tolerance": tol,
-                        "max_abs_error": worst, "passed": passed,
-                        "cells": cells})
-
-    for line in lines:
-        print(line)
+    for case_lines in lines:
+        for line in case_lines:
+            print(line)
     if args.out:
         payload = reports[0] if len(reports) == 1 else {"experiment": name,
-                                                        "cases": reports}
+                                                        "cases": list(reports)}
         with open(args.out, "w") as fh:
             fh.write(canonical_json(payload))
-    print(f"experiment {name!r}: {'PASS' if passed else 'FAIL'}")
+    print(f"experiment {name!r}: {_pass(passed)}")
     return EXIT_OK if passed else EXIT_TOLERANCE
 
 
@@ -544,16 +529,9 @@ def main(argv=None) -> int:
     except (SingularDesignError, DegenerateModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
-    except (SchemaError, ParseError, ValidationError) as exc:
+    except (RegBridgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except RegBridgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -34,12 +34,9 @@ __all__ = [
     "CovarianceModel",
     "estimate_lorentz",
     "estimate_gram",
-    "estimate_joint_cdf",
     "empirical_covariance",
     "analytic_covariance",
-    "khat",
     "verify_gram_identity",
-    "write_khat_csv",
 ]
 
 _GRAM_COND_LIMIT = 1e12
@@ -141,9 +138,6 @@ class EmpiricalJointCDF:
         bj = self._indicators(j, tvals)
         return (bi @ bj.T) / self.n
 
-    def cdf(self, i: int, j: int, s: float, t: float) -> float:
-        return float(self.cdf_grid(i, j, [s], [t])[0, 0])
-
 
 @dataclass(frozen=True)
 class ProductJointCDF:
@@ -155,9 +149,6 @@ class ProductJointCDF:
         if i == j:
             return np.minimum.outer(svals, tvals)
         return np.outer(svals, tvals)
-
-    def cdf(self, i: int, j: int, s: float, t: float) -> float:
-        return float(min(s, t)) if i == j else float(s) * float(t)
 
 
 # ======================================================================
@@ -248,15 +239,10 @@ class CovarianceModel:
     gram: np.ndarray
     gram_inv: np.ndarray
     joint: object
-    source: str = ""
 
     @property
     def d_order(self) -> int:
         return len(self.columns)
-
-    @property
-    def p(self) -> int:
-        return self.gram.shape[0]
 
     def _check_slot(self, i: int) -> None:
         if not 0 <= i < self.d_order:
@@ -276,11 +262,6 @@ class CovarianceModel:
         return float(self.khat_grid(i, j, [s], [t])[0, 0])
 
 
-def khat(model: CovarianceModel, i: int, j: int, s: float, t: float) -> float:
-    """Kernel value between ordering slots i and j at levels (s, t)."""
-    return model.khat(i, j, s, t)
-
-
 # ======================================================================
 # Estimators
 # ======================================================================
@@ -297,18 +278,6 @@ def estimate_gram(data: Dataset) -> np.ndarray:
     """Normalized Gram matrix X'X / n."""
     X = data.regressors
     return (X.T @ X) / data.n
-
-
-def estimate_joint_cdf(data: Dataset, i: int, j: int, s: float, t: float) -> float:
-    """Rank-based pairwise cdf estimate between two ordering columns.
-
-    `i` and `j` are regressor column indices and must be ordering columns.
-    """
-    for c in (i, j):
-        if c not in data.order_columns:
-            raise ValidationError(f"column {c} is not an ordering column")
-    joint = _empirical_joint(data)
-    return joint.cdf(data.order_columns.index(i), data.order_columns.index(j), s, t)
 
 
 def _empirical_joint(data: Dataset) -> EmpiricalJointCDF:
@@ -339,7 +308,6 @@ def empirical_covariance(data: Dataset, views: tuple[OrderedView, ...],
         gram=G,
         gram_inv=_spd_inverse(G),
         joint=_empirical_joint(data),
-        source=f"empirical(n={data.n})",
     )
 
 
@@ -356,7 +324,6 @@ def analytic_covariance(model: SyntheticModel) -> CovarianceModel:
         gram=G,
         gram_inv=_spd_inverse(G),
         joint=ProductJointCDF(),
-        source="analytic(independence)",
     )
 
 
@@ -390,17 +357,3 @@ def verify_gram_identity(model, j: int = 0) -> float:
             val = quad(entry, 0.0, 1.0, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)[0]
             err = max(err, float(abs(val - G[a, b])))
     return err
-
-
-def write_khat_csv(model: CovarianceModel, levels, path) -> None:
-    """Write kernel values on a grid as CSV rows (i, j, s, t, value)."""
-    levels = np.atleast_1d(np.asarray(levels, dtype=float))
-    with open(path, "w", newline="") as fh:
-        fh.write("i,j,s,t,value\n")
-        for i in range(model.d_order):
-            for j in range(model.d_order):
-                block = model.khat_grid(i, j, levels, levels)
-                for a, s in enumerate(levels):
-                    for b, t in enumerate(levels):
-                        fh.write(f"{i},{j},{float(s)!r},{float(t)!r},"
-                                 f"{float(block[a, b])!r}\n")

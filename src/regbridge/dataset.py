@@ -142,19 +142,6 @@ class Dataset:
     def p(self) -> int:
         return self.regressors.shape[1]
 
-    def column_index(self, name: str) -> int:
-        """Index of the regressor column labeled `name`."""
-        try:
-            return self.regressor_names.index(name)
-        except ValueError:
-            raise SchemaError(f"no regressor column named {name!r}")
-
-    def ordering_values(self, j: int) -> np.ndarray:
-        """Values of ordering column `j` (must be one of `order_columns`)."""
-        if j not in self.order_columns:
-            raise ValidationError(f"column {j} is not an ordering column")
-        return self.regressors[:, j]
-
 
 # ======================================================================
 # CSV ingestion
@@ -280,10 +267,7 @@ class QuantileFunction:
 
     def mean(self) -> float:
         """Integral of q over [0, 1]."""
-        from scipy.integrate import quad
-
-        return quad(lambda u: float(self(u)), 0.0, 1.0,
-                    epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)[0]
+        return self.partial_integral(1.0)
 
     def second_moment(self) -> float:
         """Integral of q**2 over [0, 1]."""
@@ -552,7 +536,7 @@ def _draw_design(model: SyntheticModel, n: int, rng) -> tuple[np.ndarray, np.nda
     cols = [np.asarray(q(U[:, j]), dtype=float)
             for j, q in enumerate(model.quantile_funcs)]
     for j, c in enumerate(cols):
-        if np.unique(c).size != n:
+        if np.any(np.diff(np.sort(c)) == 0):
             raise ValidationError(
                 f"ordering column {j} has ties; quantile function is not "
                 "strictly increasing on the sampled range")

@@ -5,6 +5,10 @@ callers can catch one type at the boundary.  The leaf classes distinguish
 the handful of failure modes the command-line driver maps to exit codes.
 """
 
+__all__ = ["RegBridgeError", "SchemaError", "ParseError", "ValidationError",
+           "SingularDesignError", "DegenerateModelError",
+           "UnsupportedModelError"]
+
 
 class RegBridgeError(Exception):
     """Base class for all errors raised by this package."""

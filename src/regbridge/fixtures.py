@@ -129,8 +129,7 @@ def pinned_bridge_covariance() -> CovarianceModel:
     return CovarianceModel(columns=(0,),
                            lorentz=(AnalyticLorentz(fixture, 0),),
                            gram=np.eye(1), gram_inv=np.eye(1),
-                           joint=ProductJointCDF(),
-                           source="analytic(pinned-bridge)")
+                           joint=ProductJointCDF())
 
 
 MODELS = {
@@ -142,9 +141,9 @@ MODELS = {
 }
 
 GRAM_CASES = {
-    "single-uniform": lambda: single_uniform_model(),
-    "two-uniform": lambda: two_uniform_model(),
-    "affine": lambda: affine_model(),
+    "single-uniform": single_uniform_model,
+    "two-uniform": two_uniform_model,
+    "affine": affine_model,
     "intercept-only": intercept_only_fixture,
 }
 

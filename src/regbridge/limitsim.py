@@ -2,19 +2,17 @@
 
 The limiting statistic is the integral over [0, 1] of the squared limit
 Gaussian process, summed over ordering slots.  It is approximated on a
-uniform grid t = k/M: the covariance kernel is evaluated on the grid, the
-resulting matrix is eigendecomposed with small and negative eigenvalues
-clipped to zero, and the squared process is averaged over the grid
-(right-endpoint rule, which is exact in expectation for the pinned
-endpoint since the kernel vanishes at t = 1).  With F = V diag(sqrt(w))
-the factor of the clipped matrix, the squared norm of F g is
-sum_k w_k g_k^2 for V orthogonal, so a replicate is drawn as that
-eigenvalue-weighted sum of squared standard normals; the eigenvectors do
-not enter the law.
+uniform grid t = k/M: the covariance kernel is evaluated on the grid and
+the squared process is averaged over the grid (right-endpoint rule, which
+is exact in expectation for the pinned endpoint since the kernel vanishes
+at t = 1).  That average is a weighted sum of independent chi-square(1)
+variables whose weights are the eigenvalues of the grid matrix divided by
+M, so only the eigenvalues are computed, with small and negative ones
+clipped to zero, and a replicate is drawn as sum_k w_k g_k^2 / M.
 
 Clipping is not defensive rounding: with an intercept the kernel is
 exactly degenerate at t = 1, so the grid matrix always has an eigenvalue
-at numerical zero that must not leak noise into the factor.  Kernels
+at numerical zero that must not leak noise into the draws.  Kernels
 estimated from data bring a second source of clipping: the plug-in
 matrix is mildly indefinite at small n, and its negative eigenvalues
 carry no probability mass in the limit.
@@ -32,7 +30,7 @@ from .rng import ReplicateStreams, collapse_seed
 
 __all__ = [
     "GridSpec",
-    "PSDFactor",
+    "NullSpectrum",
     "NullDistribution",
     "build_grid_covariance",
     "factor_psd",
@@ -61,23 +59,20 @@ class GridSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class PSDFactor:
-    """Factor F with F F' equal to the clipped input matrix.
+class NullSpectrum:
+    """Clipped eigenvalues of a grid kernel matrix, ascending.
 
     `clip_count` is the number of eigenvalues that fell below `clip_floor`
-    and were replaced by zero.  `weights` holds the clipped eigenvalues,
-    ascending, one per column of F: F = V diag(sqrt(weights)) with V the
-    orthogonal eigenvectors.
+    and were replaced by zero in `weights`.
     """
 
-    matrix: np.ndarray
+    weights: np.ndarray
     clip_count: int
     clip_floor: float
-    weights: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.weights.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,15 +140,16 @@ def build_grid_covariance(cov: CovarianceModel, grid: GridSpec) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def factor_psd(matrix: np.ndarray, clip_floor: float = CLIP_FLOOR) -> PSDFactor:
-    """Eigen-factorization with sub-floor eigenvalues clipped to zero.
+def factor_psd(matrix: np.ndarray, clip_floor: float = CLIP_FLOOR) -> NullSpectrum:
+    """Eigenvalues of a symmetric matrix with sub-floor ones clipped to zero.
 
     Clipping serves both callers: analytic kernels carry an exact zero
     eigenvalue at the pinned endpoint (plus roundoff negatives), and
     kernels estimated from data are mildly indefinite at small n.  Both
     kinds are replaced by zero and counted in ``clip_count``.  For input
-    that is positive semidefinite up to roundoff the reconstruction
-    satisfies max|FF' - M| <= clip_floor + 1e-9 * max|M|.
+    that is positive semidefinite up to roundoff, V diag(weights) V' with
+    V the eigenvectors satisfies max|V diag(weights) V' - M| <= clip_floor
+    + 1e-9 * max|M|.
     """
     A = np.asarray(matrix, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -163,28 +159,26 @@ def factor_psd(matrix: np.ndarray, clip_floor: float = CLIP_FLOOR) -> PSDFactor:
         raise ValidationError("matrix must be symmetric")
     if clip_floor < 0:
         raise ValidationError("clip_floor must be >= 0")
-    sym = 0.5 * (A + A.T)
-    w, V = np.linalg.eigh(sym)
+    w = np.linalg.eigvalsh(0.5 * (A + A.T))
     below = w < clip_floor
-    wc = np.where(below, 0.0, w)
-    F = V * np.sqrt(wc)
-    return PSDFactor(matrix=F, clip_count=int(np.count_nonzero(below)),
-                     clip_floor=float(clip_floor), weights=wc)
+    return NullSpectrum(weights=np.where(below, 0.0, w),
+                        clip_count=int(np.count_nonzero(below)),
+                        clip_floor=float(clip_floor))
 
 
-def simulate_null(factor: PSDFactor, replicates: int, grid: GridSpec, seed) -> NullDistribution:
+def simulate_null(spectrum: NullSpectrum, replicates: int, grid: GridSpec,
+                  seed) -> NullDistribution:
     """Draw the limiting statistic `replicates` times.
 
     Replicate r draws a standard normal vector g from its own stream
     ``philox_stream(seed, r)`` and takes sum_k w_k g_k^2 / m with w the
-    clipped eigenvalues in ``factor.weights``, which equals |F g|^2 / m.
-    The output is invariant under execution order and chunking.  The
-    factor dimension must be a multiple of the grid size (one block per
-    ordering slot).
+    clipped eigenvalues in ``spectrum.weights``.  The output is invariant
+    under execution order and chunking.  The spectrum dimension must be a
+    multiple of the grid size (one block per ordering slot).
     """
     if replicates < 100:
         raise ValidationError("need at least 100 replicates for a usable tail")
-    dim = factor.dim
+    dim = spectrum.dim
     if dim % grid.m != 0:
         raise ValidationError(
             f"factor dimension {dim} is not a multiple of grid size {grid.m}")
@@ -196,9 +190,9 @@ def simulate_null(factor: PSDFactor, replicates: int, grid: GridSpec, seed) -> N
         stop = min(start + _CHUNK, replicates)
         g = streams.standard_normal_rows(start, G[:stop - start])
         np.square(g, out=g)
-        out[start:stop] = np.einsum("ij,j->i", g, factor.weights) / grid.m
+        out[start:stop] = np.einsum("ij,j->i", g, spectrum.weights) / grid.m
     return NullDistribution(samples=np.sort(out), replicates=replicates,
-                            grid=grid, clip_count=factor.clip_count)
+                            grid=grid, clip_count=spectrum.clip_count)
 
 
 def p_value(stat: float, null: NullDistribution) -> float:

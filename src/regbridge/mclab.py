@@ -193,6 +193,23 @@ def _fmt(x: float) -> str:
 # Experiments
 # ======================================================================
 
+def _moment_report(experiment: str, vals: np.ndarray, labels, target,
+                   params: dict, tolerance: float, t0: float) -> VerificationReport:
+    """Compare the uncentered second moments of `vals` against their limits.
+
+    `vals` holds one replicate per row and one probe per column; the cell
+    for probes a <= b is labeled (labels[a], labels[b]) and its limit is
+    target(a, b).
+    """
+    emp = (vals.T @ vals) / vals.shape[0]
+    cells = tuple(ErrorCell(row=labels[a], col=labels[b],
+                            empirical=float(emp[a, b]), target=float(target(a, b)))
+                  for a in range(len(labels)) for b in range(a, len(labels)))
+    return VerificationReport(experiment=experiment, params=params, cells=cells,
+                              tolerance=tolerance,
+                              elapsed_seconds=time.perf_counter() - t0)
+
+
 def verify_field_covariance(model: SyntheticModel, n: int, replicates: int,
                        queries, seed, tolerance: float = 0.05) -> VerificationReport:
     """Compare the orthant field's covariance matrix to its limit.
@@ -210,32 +227,20 @@ def verify_field_covariance(model: SyntheticModel, n: int, replicates: int,
         raise ValidationError("query dimension must match the model")
     if np.any(queries < 0.0) or np.any(queries > 1.0):
         raise ValidationError("queries must lie in the unit cube")
-    nq = queries.shape[0]
 
     centers = np.array([_box_integral(model.cond_mean, u) for u in queries])
     mean_boxes = {tuple(u): c for u, c in zip(queries, centers)}
 
-    vals = np.empty((replicates, nq))
+    vals = np.empty((replicates, queries.shape[0]))
     key = as_seed_key(seed)
     for r in range(replicates):
         X, Y = sample_concomitant(model, n, key + (r,))
         vals[r] = empirical_field(X, Y, queries, centers)
-    emp = (vals.T @ vals) / replicates
-
-    cells = []
-    for a in range(nq):
-        for b in range(a, nq):
-            target = _field_cov_target(model, queries[a], queries[b], mean_boxes)
-            cells.append(ErrorCell(
-                row=f"u={_fmt_point(queries[a])}",
-                col=f"u={_fmt_point(queries[b])}",
-                empirical=float(emp[a, b]), target=target))
-    return VerificationReport(
-        experiment="field",
-        params={"n": n, "replicates": replicates, "seed": list(key),
-                "queries": queries.tolist()},
-        cells=tuple(cells), tolerance=tolerance,
-        elapsed_seconds=time.perf_counter() - t0)
+    return _moment_report(
+        "field", vals, [f"u={_fmt_point(u)}" for u in queries],
+        lambda a, b: _field_cov_target(model, queries[a], queries[b], mean_boxes),
+        {"n": n, "replicates": replicates, "seed": list(key),
+         "queries": queries.tolist()}, tolerance, t0)
 
 
 def _fmt_point(u: np.ndarray) -> str:
@@ -267,25 +272,12 @@ def verify_sum_covariance(model: SyntheticModel, n: int, replicates: int,
         X, Y = sample_concomitant(model, n, key + (r,))
         for k in range(d):
             vals[r, k * nl:(k + 1) * nl] = concomitant_sum_process(X, Y, k, levels)
-    emp = (vals.T @ vals) / replicates
-
-    cells = []
-    for a in range(d * nl):
-        for b in range(a, d * nl):
-            k1, t1 = divmod(a, nl)
-            k2, t2 = divmod(b, nl)
-            target = _sum_process_cov_target(model, k1, float(levels[t1]),
-                                             k2, float(levels[t2]))
-            cells.append(ErrorCell(
-                row=f"S{k1 + 1}({_fmt(levels[t1])})",
-                col=f"S{k2 + 1}({_fmt(levels[t2])})",
-                empirical=float(emp[a, b]), target=target))
-    return VerificationReport(
-        experiment="sums",
-        params={"n": n, "replicates": replicates, "seed": list(key),
-                "levels": levels.tolist()},
-        cells=tuple(cells), tolerance=tolerance,
-        elapsed_seconds=time.perf_counter() - t0)
+    probes = [(k, float(t)) for k in range(d) for t in levels]
+    return _moment_report(
+        "sums", vals, [f"S{k + 1}({_fmt(t)})" for k, t in probes],
+        lambda a, b: _sum_process_cov_target(model, *probes[a], *probes[b]),
+        {"n": n, "replicates": replicates, "seed": list(key),
+         "levels": levels.tolist()}, tolerance, t0)
 
 
 def verify_bridge_covariance(model: SyntheticModel, n: int, replicates: int,
@@ -316,24 +308,13 @@ def verify_bridge_covariance(model: SyntheticModel, n: int, replicates: int,
         for k, view in enumerate(all_orderings(data, fit)):
             b = residual_bridge(view, fit.sigma2_hat)
             vals[r, k * nl:(k + 1) * nl] = evaluate(b, levels)
-    emp = (vals.T @ vals) / replicates
-
-    cells = []
-    for a in range(d * nl):
-        for b_idx in range(a, d * nl):
-            k1, t1 = divmod(a, nl)
-            k2, t2 = divmod(b_idx, nl)
-            target = cov.khat(k1, k2, float(levels[t1]), float(levels[t2]))
-            cells.append(ErrorCell(
-                row=f"Z{k1 + 1}({_fmt(levels[t1])})",
-                col=f"Z{k2 + 1}({_fmt(levels[t2])})",
-                empirical=float(emp[a, b_idx]), target=target))
-    return VerificationReport(
-        experiment="bridges",
-        params={"n": n, "replicates": replicates, "seed": list(key),
-                "levels": levels.tolist()},
-        cells=tuple(cells), tolerance=tolerance,
-        elapsed_seconds=time.perf_counter() - t0)
+    probes = [(k, float(t)) for k in range(d) for t in levels]
+    return _moment_report(
+        "bridges", vals, [f"Z{k + 1}({_fmt(t)})" for k, t in probes],
+        lambda a, b: cov.khat(probes[a][0], probes[b][0], probes[a][1],
+                              probes[b][1]),
+        {"n": n, "replicates": replicates, "seed": list(key),
+         "levels": levels.tolist()}, tolerance, t0)
 
 
 # ======================================================================

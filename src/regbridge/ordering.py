@@ -35,10 +35,6 @@ class OrderedView:
     def n(self) -> int:
         return self.perm.shape[0]
 
-    def ordering_values(self) -> np.ndarray:
-        """Sorted values of the ordering column itself."""
-        return self.sorted_regressors[:, self.column]
-
 
 def order_by(data: Dataset, fit: FitResult | None, j: int) -> OrderedView:
     """Sort the dataset (and residuals, if a fit is given) by column j."""

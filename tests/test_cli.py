@@ -241,6 +241,95 @@ class TestSimulateCommand:
 # verify subcommand
 # ======================================================================
 
+# Small overrides per experiment, keyed by fixture field; each run takes
+# well under a second.
+VERIFY_OVERRIDES = {
+    "field": {"n": 50, "replicates": 20, "seed": 4},
+    "sums": {"n": 50, "replicates": 30, "seed": 5},
+    "bridges": {"n": 60, "replicates": 40, "seed": 6},
+    "size": {"n": 40, "replicates": 6, "inner_replicates": 100,
+             "grid_m": 10, "level": 0.5, "seed": 7},
+    "power": {"n": 60, "replicates": 6, "inner_replicates": 100,
+              "grid_m": 10, "level": 0.3, "seed": 8},
+    "gram-identity": {},
+}
+VERIFY_FLAGS = {"n": "--n", "replicates": "--replicates", "seed": "--seed",
+                "inner_replicates": "--inner-replicates", "grid_m": "--grid",
+                "level": "--alpha"}
+
+
+def _verify_by_library(name, overrides):
+    """What `verify` should write and print, rebuilt from direct lab calls.
+
+    Returns the expected payloads (one per fixture case, wall clock
+    stripped), the per-case lines, the overall pass flag, and the cell
+    tables by file name.
+    """
+    from regbridge import covmodel, fixtures, mclab
+    fixture = fixtures.load_experiment_defaults()[name]
+    if name == "gram-identity":
+        tol = fixture["tolerance"]
+        cells = [{"case": case, "max_abs_error": covmodel.verify_gram_identity(
+            fixtures.get_gram_case(case), 0)} for case in fixture["cases"]]
+        worst = max(c["max_abs_error"] for c in cells)
+        lines = [f"gram-identity[{c['case']}]: max error "
+                 f"{c['max_abs_error']:.2e} "
+                 f"{'PASS' if c['max_abs_error'] <= tol else 'FAIL'}"
+                 for c in cells]
+        payload = {"experiment": name, "tolerance": tol, "max_abs_error": worst,
+                   "passed": worst <= tol, "cells": cells}
+        return [payload], lines, worst <= tol, {}
+    if name in ("size", "power"):
+        cfg = {**fixture, **overrides, "n_values": [overrides["n"]]}
+        breach = None
+        if name == "power":
+            breach = fixtures.quadratic_breach(cfg["breach"]["coef"],
+                                               cfg["breach"]["column"])
+        study = mclab.size_power_study(
+            fixtures.get_model(cfg["model"]), breach, cfg["n_values"],
+            cfg["level"], cfg["replicates"], cfg["seed"],
+            inner_replicates=cfg["inner_replicates"], grid_m=cfg["grid_m"],
+            n_jobs=1)
+        rates = study.rates
+        if name == "size":
+            band = cfg["band_halfwidth_at_nominal"] * np.sqrt(
+                cfg["level"] * (1 - cfg["level"])
+                / (cfg["nominal_level"] * (1 - cfg["nominal_level"])))
+            oks = [abs(r - cfg["level"]) <= band for r in rates]
+            checks = [f"n={n}: rate {r:.4f} vs level {cfg['level']:g} "
+                      f"(band +/-{band:.4f}) {'PASS' if ok else 'FAIL'}"
+                      for n, r, ok in zip(study.n_values, rates, oks)]
+        else:
+            floor = cfg["min_rate_ratio"] * cfg["level"]
+            oks = [all(b >= a for a, b in zip(rates, rates[1:])),
+                   rates[-1] > floor]
+            checks = [
+                "rates " + " -> ".join(f"{r:.4f}" for r in rates)
+                + f" nondecreasing {'PASS' if oks[0] else 'FAIL'}",
+                f"rate at n={study.n_values[-1]} is {rates[-1]:.4f} > "
+                f"{floor:g} {'PASS' if oks[1] else 'FAIL'}"]
+        payload = {**study.comparable(), "checks": checks, "passed": all(oks)}
+        return [payload], checks, all(oks), {}
+    verify, points = {"field": (mclab.verify_field_covariance, "queries"),
+                      "sums": (mclab.verify_sum_covariance, "levels"),
+                      "bridges": (mclab.verify_bridge_covariance, "levels")}[name]
+    cases = fixture.get("cases", [fixture])
+    payloads, lines, tables = [], [], {}
+    for case in cases:
+        cfg = {**case, **overrides}
+        rep = verify(fixtures.get_model(cfg["model"]), cfg["n"],
+                     cfg["replicates"], np.asarray(cfg[points], dtype=float),
+                     cfg["seed"], cfg["tolerance"])
+        payloads.append(rep.comparable())
+        lines.append(f"{name}[{cfg['model']}]: max |emp - target| = "
+                     f"{rep.max_abs_error:.4f} (tolerance {rep.tolerance:g}) "
+                     f"{'PASS' if rep.passed else 'FAIL'}")
+        fname = f"cells_{cfg['model']}.csv" if len(cases) > 1 else "cells.csv"
+        tables[fname] = rep
+    return payloads, lines, all(p["passed"] for p in payloads), tables
+
+
+
 class TestVerifyCommand:
     def test_gram_identity_passes(self, tmp_path, capsys):
         out = tmp_path / "gram.json"
@@ -297,6 +386,41 @@ class TestVerifyCommand:
         rc = main(["verify", "--experiment", "sideways"])
         assert rc == EXIT_INPUT
         assert "unknown experiment" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(VERIFY_OVERRIDES))
+    def test_matches_direct_library_calls(self, name, tmp_path, capsys):
+        overrides = VERIFY_OVERRIDES[name]
+        argv = ["verify", "--experiment", name, "--out", str(tmp_path / "v.json"),
+                "--emit-table", str(tmp_path / "cells.csv")]
+        for key, value in overrides.items():
+            argv += [VERIFY_FLAGS[key], str(value)]
+        rc = main(argv)
+        printed = capsys.readouterr().out.splitlines()
+
+        payloads, lines, passed, tables = _verify_by_library(name, overrides)
+        got = json.loads((tmp_path / "v.json").read_text())
+        got_cases = got["cases"] if len(payloads) > 1 else [got]
+        if len(payloads) > 1:
+            assert got.keys() == {"experiment", "cases"}
+            assert got["experiment"] == name
+        assert len(got_cases) == len(payloads)
+        for case, want in zip(got_cases, payloads):
+            case.pop("elapsed_seconds", None)
+            assert case == want
+        assert printed == lines + [
+            f"experiment {name!r}: {'PASS' if passed else 'FAIL'}"]
+        assert rc == (EXIT_OK if passed else EXIT_TOLERANCE)
+        written = sorted(p.name for p in tmp_path.glob("cells*.csv"))
+        assert written == sorted(tables)
+        for fname, report in tables.items():
+            report.write_cells_csv(tmp_path / "want.csv")
+            assert ((tmp_path / fname).read_bytes()
+                    == (tmp_path / "want.csv").read_bytes())
+            # Every number is written as a plain float literal.
+            with open(tmp_path / fname, newline="") as fh:
+                for row in csv.DictReader(fh):
+                    for key in ("empirical", "target", "abs_error"):
+                        float(row[key])
 
 
 # ======================================================================
@@ -361,6 +485,18 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == f"{EXIT_OK} []"
+
+    def test_simulate_run_skips_numpy_ma(self, tmp_path):
+        # The tie check on the drawn design sorts instead of calling
+        # np.unique, whose first call imports numpy.ma.
+        argv = ["simulate", "--model", "h0", "--n", "60", "--seed", "3",
+                "--order-dim", "2", "--out", str(tmp_path / "d.csv")]
+        code = ("import sys; from regbridge.cli import main; "
+                f"rc = main({argv!r}); print(rc, 'numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == f"{EXIT_OK} False"
 
     def test_public_names_resolve(self):
         import regbridge

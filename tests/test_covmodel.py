@@ -1,7 +1,5 @@
 """Covariance kernel ingredients: running means, pairwise cdfs, khat."""
 
-import csv
-
 import numpy as np
 import pytest
 
@@ -145,12 +143,12 @@ class TestIndependenceFixture:
 class TestProductJointCDF:
     def test_diagonal_is_min(self):
         joint = ProductJointCDF()
-        assert joint.cdf(0, 0, 0.3, 0.7) == pytest.approx(0.3)
-        assert joint.cdf(1, 1, 0.9, 0.4) == pytest.approx(0.4)
+        assert joint.cdf_grid(0, 0, [0.3], [0.7])[0, 0] == pytest.approx(0.3)
+        assert joint.cdf_grid(1, 1, [0.9], [0.4])[0, 0] == pytest.approx(0.4)
 
     def test_off_diagonal_is_product(self):
         joint = ProductJointCDF()
-        assert joint.cdf(0, 1, 0.3, 0.7) == pytest.approx(0.21)
+        assert joint.cdf_grid(0, 1, [0.3], [0.7])[0, 0] == pytest.approx(0.21)
         grid = joint.cdf_grid(0, 1, [0.5, 1.0], [0.2, 0.4, 1.0])
         assert grid.shape == (2, 3)
         assert np.allclose(grid, np.outer([0.5, 1.0], [0.2, 0.4, 1.0]))
@@ -167,32 +165,29 @@ class TestEmpiricalJointCDF:
         # At (1/2, 1/2) the thresholds are the 2nd order statistics 0.5
         # and 0.3; only the row (0.5, 0.2) is below both.
         joint = self.make_joint()
-        assert joint.cdf(0, 1, 0.5, 0.5) == pytest.approx(0.25)
+        assert joint.cdf_grid(0, 1, [0.5], [0.5])[0, 0] == pytest.approx(0.25)
 
     def test_boundary_levels(self):
         joint = self.make_joint()
-        assert joint.cdf(0, 1, 0.0, 0.8) == 0.0
-        assert joint.cdf(0, 1, 1.0, 1.0) == pytest.approx(1.0)
+        assert joint.cdf_grid(0, 1, [0.0], [0.8])[0, 0] == 0.0
+        assert joint.cdf_grid(0, 1, [1.0], [1.0])[0, 0] == pytest.approx(1.0)
 
     def test_diagonal_matches_floor_counts(self):
         joint = self.make_joint()
         for t in (0.25, 0.5, 0.75, 1.0):
-            assert joint.cdf(0, 0, t, t) == pytest.approx(
+            assert joint.cdf_grid(0, 0, [t], [t])[0, 0] == pytest.approx(
                 rb.floor_index(4, t) / 4)
 
     def test_converges_to_product_under_independence(self):
         d = rb.sample_h0(rb.fixtures.two_uniform_model(), 10_000, 12)
+        joint = rb.empirical_covariance(
+            d, rb.all_orderings(d, rb.fit_lse(d))).joint
         levels = np.linspace(0.1, 1.0, 10)
         grid = np.empty((10, 10))
         for a, s in enumerate(levels):
             for b, t in enumerate(levels):
-                grid[a, b] = rb.estimate_joint_cdf(d, 0, 1, s, t)
+                grid[a, b] = joint.cdf_grid(0, 1, [s], [t])[0, 0]
         assert np.max(np.abs(grid - np.outer(levels, levels))) < 0.03
-
-    def test_requires_ordering_columns(self):
-        d = rb.sample_h0(rb.fixtures.two_uniform_model(), 50, 13)
-        with pytest.raises(ValidationError):
-            rb.estimate_joint_cdf(d, 0, 2, 0.5, 0.5)
 
 
 # ======================================================================
@@ -203,20 +198,20 @@ class TestAnalyticKhat:
     def test_single_uniform_hand_values(self):
         cov = rb.analytic_covariance(rb.fixtures.single_uniform_model())
         for s, t in [(0.5, 0.5), (0.3, 0.7), (0.2, 0.9), (1.0, 0.4)]:
-            assert rb.khat(cov, 0, 0, s, t) == pytest.approx(
+            assert cov.khat(0, 0, s, t) == pytest.approx(
                 khat_single_uniform(s, t), abs=1e-12)
 
     def test_known_special_values(self):
         cov = rb.analytic_covariance(rb.fixtures.single_uniform_model())
-        assert rb.khat(cov, 0, 0, 0.5, 0.5) == pytest.approx(1 / 16, abs=1e-14)
+        assert cov.khat(0, 0, 0.5, 0.5) == pytest.approx(1 / 16, abs=1e-14)
         # The intercept pins the process at t = 1: exact degeneracy.
-        assert rb.khat(cov, 0, 0, 1.0, 1.0) == pytest.approx(0.0, abs=1e-14)
+        assert cov.khat(0, 0, 1.0, 1.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_symmetry_across_slots(self):
         cov = rb.analytic_covariance(rb.fixtures.two_uniform_model())
         for (i, j, s, t) in [(0, 1, 0.3, 0.8), (1, 0, 0.6, 0.2), (0, 0, 0.9, 0.1)]:
-            assert rb.khat(cov, i, j, s, t) == pytest.approx(
-                rb.khat(cov, j, i, t, s), abs=1e-14)
+            assert cov.khat(i, j, s, t) == pytest.approx(
+                cov.khat(j, i, t, s), abs=1e-14)
 
     def test_grid_matches_scalar(self):
         cov = rb.analytic_covariance(rb.fixtures.two_uniform_model())
@@ -225,13 +220,13 @@ class TestAnalyticKhat:
         assert grid.shape == (3, 3)
         for a, s in enumerate(levels):
             for b, t in enumerate(levels):
-                assert grid[a, b] == pytest.approx(rb.khat(cov, 0, 1, s, t),
+                assert grid[a, b] == pytest.approx(cov.khat(0, 1, s, t),
                                                    abs=1e-14)
 
     def test_slot_bounds(self):
         cov = rb.analytic_covariance(rb.fixtures.single_uniform_model())
         with pytest.raises(ValidationError):
-            rb.khat(cov, 1, 0, 0.5, 0.5)
+            cov.khat(1, 0, 0.5, 0.5)
 
     def test_gaussian_copula_unsupported(self):
         model = rb.SyntheticModel(
@@ -244,7 +239,7 @@ class TestAnalyticKhat:
     def test_pinned_bridge_kernel(self):
         cov = rb.fixtures.pinned_bridge_covariance()
         for s, t in [(0.3, 0.7), (0.5, 0.5), (0.2, 0.2), (1.0, 1.0)]:
-            assert rb.khat(cov, 0, 0, s, t) == pytest.approx(
+            assert cov.khat(0, 0, s, t) == pytest.approx(
                 min(s, t) - s * t, abs=1e-15)
 
 
@@ -285,7 +280,7 @@ class TestEmpiricalCovariance:
 
 
 # ======================================================================
-# Gram identity and CSV output
+# Gram identity
 # ======================================================================
 
 class TestGramIdentity:
@@ -304,18 +299,3 @@ class TestGramIdentity:
         with pytest.raises(UnsupportedModelError):
             rb.verify_gram_identity(model)
 
-
-class TestKhatCSV:
-    def test_writes_all_cells(self, tmp_path):
-        cov = rb.analytic_covariance(rb.fixtures.two_uniform_model())
-        levels = [0.25, 0.5, 0.75]
-        path = tmp_path / "khat.csv"
-        rb.write_khat_csv(cov, levels, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 2 * 2 * 3 * 3
-        probe = next(r for r in rows
-                     if r["i"] == "0" and r["j"] == "0"
-                     and float(r["s"]) == 0.5 and float(r["t"]) == 0.5)
-        assert float(probe["value"]) == pytest.approx(
-            rb.khat(cov, 0, 0, 0.5, 0.5), abs=1e-15)

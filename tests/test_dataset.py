@@ -67,12 +67,6 @@ class TestDataset:
         with pytest.raises(ValidationError, match="distinct"):
             rb.Dataset(np.random.default_rng(0).random((3, 2)), np.zeros(3), (0, 0))
 
-    def test_ordering_values(self):
-        d = small_dataset()
-        assert np.array_equal(d.ordering_values(0), [0.3, 0.1, 0.7])
-        with pytest.raises(ValidationError):
-            d.ordering_values(1)
-
 
 # ======================================================================
 # CSV
@@ -236,6 +230,17 @@ class TestSampleH0:
     def test_theta_length_validated(self):
         with pytest.raises(ValidationError, match="theta"):
             rb.SyntheticModel(copula=rb.IndependenceCopula(2), theta=(1.0, 2.0))
+
+    def test_tied_ordering_column_is_refused(self):
+        # A step quantile maps the uniforms onto six values, so column 1
+        # ties; column 0 stays continuous and must not be blamed.
+        model = rb.SyntheticModel(
+            copula=rb.IndependenceCopula(2),
+            quantile_funcs=(rb.IdentityQuantile(),
+                            rb.FunctionQuantile(lambda u: np.floor(5 * u) / 5)),
+            theta=(1.0, 1.0, 0.0))
+        with pytest.raises(ValidationError, match="ordering column 1 has ties"):
+            rb.sample_h0(model, 50, 3)
 
 
 class TestSampleAlternative:

@@ -30,6 +30,13 @@ def series_statistic_samples(replicates, seed, terms=2000):
     return out
 
 
+def reconstruct(spectrum, matrix):
+    """V diag(weights) V' with V the eigenvectors of the symmetrized input."""
+    A = np.asarray(matrix, dtype=float)
+    _, V = np.linalg.eigh(0.5 * (A + A.T))
+    return (V * spectrum.weights) @ V.T
+
+
 # ======================================================================
 # Grid and factorization
 # ======================================================================
@@ -62,7 +69,7 @@ class TestBuildGridCovariance:
         for a in range(3):
             for b in range(3):
                 assert A[a, 3 + b] == pytest.approx(
-                    rb.khat(cov, 0, 1, pts[a], pts[b]), abs=1e-14)
+                    cov.khat(0, 1, pts[a], pts[b]), abs=1e-14)
 
     def test_grid_matrix_is_nearly_psd(self):
         cov = rb.analytic_covariance(rb.fixtures.two_uniform_model())
@@ -75,13 +82,13 @@ class TestFactorPSD:
     def test_identity_has_no_clipping(self):
         f = rb.factor_psd(np.eye(3))
         assert f.clip_count == 0
-        assert np.allclose(f.matrix @ f.matrix.T, np.eye(3), atol=1e-12)
+        assert np.allclose(reconstruct(f, np.eye(3)), np.eye(3), atol=1e-12)
 
     def test_clips_tiny_and_negative_eigenvalues(self):
         A = np.diag([1.0, 1e-12, -1e-12])
         f = rb.factor_psd(A)
         assert f.clip_count == 2
-        rec = f.matrix @ f.matrix.T
+        rec = reconstruct(f, A)
         assert np.allclose(rec, np.diag([1.0, 0.0, 0.0]), atol=1e-12)
 
     def test_rejects_nonsymmetric(self):
@@ -95,10 +102,10 @@ class TestFactorPSD:
     def test_indefinite_input_is_clipped_not_rejected(self):
         # Plug-in kernel estimates are mildly indefinite at small n; the
         # contract is to drop that mass, not to refuse the matrix.
-        f = rb.factor_psd(np.diag([1.0, -1e-6]), clip_floor=1e-5)
+        A = np.diag([1.0, -1e-6])
+        f = rb.factor_psd(A, clip_floor=1e-5)
         assert f.clip_count == 1
-        assert np.allclose(f.matrix @ f.matrix.T, np.diag([1.0, 0.0]),
-                           atol=1e-12)
+        assert np.allclose(reconstruct(f, A), np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_reconstruction_bound_on_psd_inputs(self):
         rng = np.random.default_rng(77)
@@ -107,13 +114,14 @@ class TestFactorPSD:
             M = A.T @ A
             M = 0.5 * (M + M.T)
             f = rb.factor_psd(M)
-            err = float(np.max(np.abs(f.matrix @ f.matrix.T - M)))
+            err = float(np.max(np.abs(reconstruct(f, M) - M)))
             assert err <= f.clip_floor + 1e-9 * float(np.max(np.abs(M)))
 
     def test_rank_one_input(self):
         f = rb.factor_psd(np.ones((2, 2)))
         assert f.clip_count == 1
-        assert np.allclose(f.matrix @ f.matrix.T, np.ones((2, 2)), atol=1e-12)
+        assert np.allclose(reconstruct(f, np.ones((2, 2))), np.ones((2, 2)),
+                           atol=1e-12)
 
     def test_rejects_negative_floor(self):
         with pytest.raises(ValidationError):
@@ -122,7 +130,7 @@ class TestFactorPSD:
     def test_zero_matrix_clips_everything(self):
         f = rb.factor_psd(np.zeros((4, 4)))
         assert f.clip_count == 4
-        assert np.all(f.matrix == 0.0)
+        assert np.all(f.weights == 0.0)
 
     def test_weights_are_the_clipped_eigenvalues(self):
         cov = rb.analytic_covariance(rb.fixtures.two_uniform_model())
@@ -134,9 +142,6 @@ class TestFactorPSD:
         assert int(np.count_nonzero(f.weights == 0.0)) == f.clip_count
         assert int(np.count_nonzero(below)) == f.clip_count
         assert np.allclose(f.weights[~below], w[~below], rtol=1e-12, atol=0.0)
-        # The factor's columns carry exactly these weights.
-        assert np.allclose(np.sum(f.matrix ** 2, axis=0), f.weights,
-                           rtol=1e-10, atol=1e-15)
 
     def test_bridge_kernel_clips_the_pinned_endpoint(self):
         cov = rb.analytic_covariance(rb.fixtures.single_uniform_model())
@@ -155,10 +160,14 @@ class TestSimulateNull:
         grid = rb.GridSpec(5)
         f = rb.factor_psd(rb.build_grid_covariance(cov, grid))
         null = rb.simulate_null(f, 120, grid, seed=(7, 3))
+        # Oracle: |F g|^2 / m with the factor F = V diag(sqrt(w)) built
+        # here from the full eigendecomposition.
+        w, V = np.linalg.eigh(rb.build_grid_covariance(cov, grid))
+        F = V * np.sqrt(np.where(w < f.clip_floor, 0.0, w))
         eff = collapse_seed((7, 3))
         manual = np.empty(120)
         for r in range(120):
-            z = f.matrix @ philox_stream(eff, r).standard_normal(f.dim)
+            z = F @ philox_stream(eff, r).standard_normal(f.dim)
             manual[r] = float(z @ z) / grid.m
         # Same draws, same order; only BLAS summation order may differ.
         assert np.allclose(null.samples, np.sort(manual), rtol=1e-12, atol=0.0)
