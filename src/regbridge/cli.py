@@ -399,6 +399,21 @@ _EXPERIMENTS = {
 _PER_CASE = frozenset({"field", "sums", "bridges"})
 
 
+def _ignored_flags(name: str, args, case: dict) -> list[str]:
+    """The given verify flags that experiment `name` does not read.
+
+    An override flag applies when the fixture case has the field it sets
+    (``--n`` sets ``n`` or ``n_values``); only the per-case experiments
+    write a cell table.
+    """
+    fields = set(case) | ({"n"} if "n_values" in case else set())
+    flags = [flag for flag, key in _OVERRIDES.items()
+             if getattr(args, flag) is not None and key not in fields]
+    if args.emit_table is not None and name not in _PER_CASE:
+        flags.append("emit_table")
+    return flags
+
+
 def cmd_verify(args) -> int:
     name = args.experiment
     if name not in _EXPERIMENTS:
@@ -408,6 +423,9 @@ def cmd_verify(args) -> int:
     from .fixtures import load_experiment_defaults
     fixture = load_experiment_defaults()[name]
     cases = fixture.get("cases", [fixture]) if name in _PER_CASE else [fixture]
+    for flag in _ignored_flags(name, args, cases[0]):
+        print(f"warning: --{flag.replace('_', '-')} does not apply to "
+              f"experiment {name!r}; ignored", file=sys.stderr)
     overrides = {key: getattr(args, flag) for flag, key in _OVERRIDES.items()
                  if getattr(args, flag) is not None}
     if args.n is not None:

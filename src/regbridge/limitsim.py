@@ -26,7 +26,7 @@ import numpy as np
 
 from .covmodel import CovarianceModel
 from .errors import ValidationError
-from .rng import ReplicateStreams, collapse_seed
+from .rng import collapse_seed, philox_stream
 
 __all__ = [
     "GridSpec",
@@ -42,6 +42,9 @@ __all__ = [
 
 CLIP_FLOOR = 1e-10
 _CHUNK = 4096
+# Second key word of the null stream; no data stream uses it (see
+# `simulate_null`).
+_NULL_WORD = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -170,11 +173,16 @@ def simulate_null(spectrum: NullSpectrum, replicates: int, grid: GridSpec,
                   seed) -> NullDistribution:
     """Draw the limiting statistic `replicates` times.
 
-    Replicate r draws a standard normal vector g from its own stream
-    ``philox_stream(seed, r)`` and takes sum_k w_k g_k^2 / m with w the
-    clipped eigenvalues in ``spectrum.weights``.  The output is invariant
-    under execution order and chunking.  The spectrum dimension must be a
-    multiple of the grid size (one block per ordering slot).
+    The normals are consecutive draws of one Philox stream, keyed
+    ``[collapse_seed(seed), 2**64 - 1]``: replicate r reads row r of that
+    stream taken as a (replicates, dim) array, g, and returns
+    sum_k w_k g_k^2 / m with w the clipped eigenvalues in
+    ``spectrum.weights``.  Rows are drawn `_CHUNK` at a time to bound
+    memory, and the stream runs on across chunks, so the output does not
+    depend on the chunk size.  The second key word keeps the stream apart
+    from the data streams of an int seed, ``[seed, 0]`` and ``[seed, r]``,
+    so equal data and null seeds never share bits.  The spectrum dimension
+    must be a multiple of the grid size (one block per ordering slot).
     """
     if replicates < 100:
         raise ValidationError("need at least 100 replicates for a usable tail")
@@ -182,13 +190,12 @@ def simulate_null(spectrum: NullSpectrum, replicates: int, grid: GridSpec,
     if dim % grid.m != 0:
         raise ValidationError(
             f"factor dimension {dim} is not a multiple of grid size {grid.m}")
-    eff = collapse_seed(seed)
-    streams = ReplicateStreams(eff)
+    gen = philox_stream(collapse_seed(seed), _NULL_WORD)
     out = np.empty(replicates)
     G = np.empty((min(_CHUNK, replicates), dim))
     for start in range(0, replicates, _CHUNK):
         stop = min(start + _CHUNK, replicates)
-        g = streams.standard_normal_rows(start, G[:stop - start])
+        g = gen.standard_normal(out=G[:stop - start])
         np.square(g, out=g)
         out[start:stop] = np.einsum("ij,j->i", g, spectrum.weights) / grid.m
     return NullDistribution(samples=np.sort(out), replicates=replicates,

@@ -372,7 +372,7 @@ class TestVerifyCommand:
 
     def test_power_checks_with_overrides(self, tmp_path, capsys):
         out = tmp_path / "power.json"
-        rc = main(["verify", "--experiment", "power", "--n", "80",
+        rc = main(["verify", "--experiment", "power", "--n", "500",
                    "--replicates", "20", "--inner-replicates", "200",
                    "--alpha", "0.1", "--grid", "20", "--out", str(out)])
         assert rc == EXIT_OK
@@ -381,6 +381,25 @@ class TestVerifyCommand:
         payload = json.loads(out.read_text())
         assert payload["experiment"] == "power"
         assert payload["rates"][-1] > 0.2
+
+    @pytest.mark.parametrize("name, flags, ignored", [
+        ("size", ["--n", "40", "--replicates", "5", "--inner-replicates",
+                  "100", "--grid", "10", "--emit-table", "t.csv"],
+         ["emit-table"]),
+        ("gram-identity", ["--n", "40", "--grid", "10"], ["n", "grid"]),
+        ("bridges", ["--n", "100", "--replicates", "100",
+                     "--emit-table", "t.csv"], []),
+    ])
+    def test_inapplicable_flags_warn_on_stderr(self, name, flags, ignored,
+                                               tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        main(["verify", "--experiment", name, *flags])
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"warning: --{flag} does not apply to experiment '{name}'; ignored"
+            for flag in ignored]
+        assert captured.out.splitlines()[-1].startswith(f"experiment '{name}': ")
+        assert (tmp_path / "t.csv").exists() is False
 
     def test_unknown_experiment_is_input_error(self, capsys):
         rc = main(["verify", "--experiment", "sideways"])

@@ -1,8 +1,10 @@
 """Grid simulation of the limiting statistic and its Monte Carlo p-value."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import regbridge as rb
@@ -160,27 +162,47 @@ class TestSimulateNull:
         grid = rb.GridSpec(5)
         f = rb.factor_psd(rb.build_grid_covariance(cov, grid))
         null = rb.simulate_null(f, 120, grid, seed=(7, 3))
-        # Oracle: |F g|^2 / m with the factor F = V diag(sqrt(w)) built
-        # here from the full eigendecomposition.
+        # Oracle: |F g_r|^2 / m with the factor F = V diag(sqrt(w)) built
+        # here from the full eigendecomposition, and g_r row r of the one
+        # null stream, keyed [collapse_seed(seed), 2**64 - 1].
         w, V = np.linalg.eigh(rb.build_grid_covariance(cov, grid))
         F = V * np.sqrt(np.where(w < f.clip_floor, 0.0, w))
         eff = collapse_seed((7, 3))
+        g = philox_stream(eff, (1 << 64) - 1).standard_normal((120, f.dim))
         manual = np.empty(120)
         for r in range(120):
-            z = F @ philox_stream(eff, r).standard_normal(f.dim)
+            z = F @ g[r]
             manual[r] = float(z @ z) / grid.m
         # Same draws, same order; only BLAS summation order may differ.
         assert np.allclose(null.samples, np.sort(manual), rtol=1e-12, atol=0.0)
         assert null.clip_count == f.clip_count
 
-    def test_chunk_size_does_not_matter(self, monkeypatch):
+    @settings(max_examples=60, deadline=None)
+    @given(chunk=st.integers(1, 300), replicates=st.integers(100, 700),
+           m=st.integers(2, 20))
+    @example(chunk=7, replicates=250, m=8)
+    def test_chunk_size_does_not_matter(self, chunk, replicates, m):
+        # The stream runs on across chunks, so any chunk size gives the
+        # default (single-chunk) run bit for bit.
         cov = rb.fixtures.pinned_bridge_covariance()
-        grid = rb.GridSpec(8)
+        grid = rb.GridSpec(m)
         f = rb.factor_psd(rb.build_grid_covariance(cov, grid))
-        base = rb.simulate_null(f, 250, grid, seed=5)
-        monkeypatch.setattr(limitsim, "_CHUNK", 7)
-        small = rb.simulate_null(f, 250, grid, seed=5)
-        assert np.array_equal(base.samples, small.samples)
+        base = rb.simulate_null(f, replicates, grid, seed=5)
+        with mock.patch.object(limitsim, "_CHUNK", chunk):
+            small = rb.simulate_null(f, replicates, grid, seed=5)
+        assert small.samples.tobytes() == base.samples.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 5, 11, -1])
+    def test_null_rows_differ_from_data_stream(self, seed):
+        # sample_h0 with int seed s draws from philox_stream(s), the key
+        # [s, 0]; the null stream of the same seed must not replay it.
+        f = rb.factor_psd(np.eye(4))
+        null = rb.simulate_null(f, 100, rb.GridSpec(4), seed=seed)
+        own = philox_stream(seed, -1).standard_normal((100, 4))
+        data = philox_stream(seed).standard_normal((100, 4))
+        assert np.allclose(null.samples, np.sort((own ** 2).sum(1) / 4),
+                           rtol=1e-12, atol=0.0)
+        assert not np.any(np.isin(data, own))
 
     def test_replicate_floor(self):
         cov = rb.fixtures.pinned_bridge_covariance()
@@ -221,6 +243,36 @@ class TestSimulateNull:
         series = series_statistic_samples(20_000, seed=32)
         assert abs(null.mean() - float(series.mean())) < 0.01
         assert abs(null.quantile(0.95) - float(np.quantile(series, 0.95))) < 0.02
+
+    @pytest.mark.parametrize("x", [0.2, 0.4614, 0.75])
+    def test_tail_matches_imhof(self, x):
+        # Exact tail of the grid law by Imhof's (1961) inversion formula,
+        # with the weights taken here from the pinned-bridge kernel
+        # min(s, t) - s t on the grid: an oracle for the law the single
+        # stream carries, independent of the simulator.
+        from scipy.integrate import quad
+
+        m, replicates = 100, 20_000
+        t = np.arange(1, m + 1) / m
+        lam = np.linalg.eigvalsh(np.minimum.outer(t, t) - np.outer(t, t)) / m
+        lam = lam[lam > 1e-12]
+
+        def integrand(u):
+            theta = 0.5 * np.sum(np.arctan(lam * u)) - 0.5 * x * u
+            rho = np.prod((1.0 + (lam * u) ** 2) ** 0.25)
+            return np.sin(theta) / (u * rho)
+
+        integral, err = quad(integrand, 0.0, np.inf, limit=500, epsabs=1e-10)
+        assert err < 1e-6
+        exact = 0.5 + integral / np.pi
+
+        grid = rb.GridSpec(m)
+        f = rb.factor_psd(rb.build_grid_covariance(
+            rb.fixtures.pinned_bridge_covariance(), grid))
+        null = rb.simulate_null(f, replicates, grid, seed=2026)
+        emp = float(np.mean(null.samples > x))
+        se = np.sqrt(exact * (1.0 - exact) / replicates)
+        assert abs(emp - exact) < 4.0 * se
 
 
 # ======================================================================
