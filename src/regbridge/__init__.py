@@ -30,7 +30,8 @@ from .adequacy import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-_LAZY_MCLAB = ("ErrorCell", "VerificationReport", "SizePowerResult",
+_LAZY_MCLAB = ("EmpiricalField", "empirical_field", "concomitant_sum_process",
+               "ErrorCell", "VerificationReport", "SizePowerResult",
                "verify_field_covariance", "verify_sum_covariance",
                "verify_bridge_covariance", "size_power_study")
 

@@ -6,11 +6,6 @@ the design the residuals sum to zero, so each bridge is pinned at both
 ends.  The statistic integrates the squared bridge over [0, 1], summed
 across ordering columns; the integral of a piecewise-linear square has a
 closed form, used here instead of any quadrature.
-
-The module also exposes the raw building blocks used by the Monte Carlo
-verification lab: the multivariate partial-sum field over lower-left
-orthants and the one-coordinate cumulative sum process taken along a
-sorted coordinate.
 """
 
 from __future__ import annotations
@@ -29,9 +24,6 @@ __all__ = [
     "evaluate",
     "omega_sq",
     "floor_index",
-    "EmpiricalField",
-    "empirical_field",
-    "concomitant_sum_process",
     "write_bridge_csv",
 ]
 
@@ -141,73 +133,3 @@ def write_bridge_csv(bridge: BridgeProcess, path) -> None:
         fh.write("t,value\n")
         for t, v in zip(nodes, bridge.values):
             fh.write(f"{float(t)!r},{float(v)!r}\n")
-
-
-# ======================================================================
-# Raw partial-sum field (verification lab building blocks)
-# ======================================================================
-
-@dataclass(frozen=True, eq=False)
-class EmpiricalField:
-    """Partial-sum field Q(u) = sum of Y over rows with X <= u coordinatewise."""
-
-    X: np.ndarray
-    Y: np.ndarray
-
-    def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        Y = np.asarray(self.Y, dtype=float)
-        if X.ndim != 2 or Y.shape != (X.shape[0],):
-            raise ValidationError("need X of shape (n, d) and Y of shape (n,)")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "Y", Y)
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.X.shape[1]
-
-    def raw(self, u) -> float:
-        u = np.asarray(u, dtype=float)
-        mask = np.all(self.X <= u, axis=1)
-        return float(self.Y[mask].sum())
-
-
-def empirical_field(X, Y, queries, centers) -> np.ndarray:
-    """Normalized field (Q(u) - n * center(u)) / sqrt(n) at many queries.
-
-    `queries` is (q, d); `centers` supplies the centering value per query
-    (the integral of the conditional mean over the query's orthant, under
-    whatever law the caller is studying).
-    """
-    field = EmpiricalField(X, Y)
-    queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    centers = np.broadcast_to(np.asarray(centers, dtype=float), (queries.shape[0],))
-    if queries.shape[1] != field.d:
-        raise ValidationError("query dimension does not match X")
-    # (q, n) orthant indicators resolved in one pass
-    mask = np.all(field.X[None, :, :] <= queries[:, None, :], axis=2)
-    raw = mask @ field.Y
-    return (raw - field.n * centers) / math.sqrt(field.n)
-
-
-def concomitant_sum_process(X, Y, k: int, grid) -> np.ndarray:
-    """Cumulative sums of Y along coordinate k, read at grid levels.
-
-    Rows are sorted by X[:, k] (stable) and the first [n * t] sorted Y
-    values are summed and divided by sqrt(n), for each t in `grid`.
-    """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if X.ndim != 2 or Y.shape != (X.shape[0],):
-        raise ValidationError("need X of shape (n, d) and Y of shape (n,)")
-    if not 0 <= k < X.shape[1]:
-        raise ValidationError(f"coordinate {k} out of range")
-    n = X.shape[0]
-    order = np.argsort(X[:, k], kind="stable")
-    csum = np.concatenate(([0.0], np.cumsum(Y[order])))
-    idx = floor_index(n, grid)
-    return csum[idx] / math.sqrt(n)

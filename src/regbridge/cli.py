@@ -403,12 +403,15 @@ def _ignored_flags(name: str, args, case: dict) -> list[str]:
     """The given verify flags that experiment `name` does not read.
 
     An override flag applies when the fixture case has the field it sets
-    (``--n`` sets ``n`` or ``n_values``); only the per-case experiments
-    write a cell table.
+    (``--n`` sets ``n`` or ``n_values``); only the size and power studies
+    run a process pool, and only the per-case experiments write a cell
+    table.
     """
     fields = set(case) | ({"n"} if "n_values" in case else set())
     flags = [flag for flag, key in _OVERRIDES.items()
              if getattr(args, flag) is not None and key not in fields]
+    if args.n_jobs != 1 and name not in ("size", "power"):
+        flags.append("n_jobs")
     if args.emit_table is not None and name not in _PER_CASE:
         flags.append("emit_table")
     return flags

@@ -10,6 +10,9 @@ processes against closed-form covariance targets:
 * the studentized residual bridges of the fitted regression against the
   plugged-in limit kernel.
 
+The first two processes are built here (`empirical_field`,
+`concomitant_sum_process`); the test itself never uses them.
+
 A fourth experiment measures rejection rates of the full test pipeline
 under the null and under model breaches.  All targets are integrals of the
 conditional moments over boxes, computed by adaptive quadrature, and all
@@ -19,14 +22,14 @@ zero by construction.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .adequacy import run_adequacy_test
-from .bridge import (concomitant_sum_process, empirical_field, evaluate,
-                     residual_bridge)
+from .bridge import evaluate, floor_index, residual_bridge
 from .covmodel import analytic_covariance
 from .dataset import (IndependenceCopula, SyntheticModel, sample_alternative,
                       sample_concomitant, sample_h0)
@@ -36,6 +39,9 @@ from .ordering import all_orderings
 from .rng import as_seed_key
 
 __all__ = [
+    "EmpiricalField",
+    "empirical_field",
+    "concomitant_sum_process",
     "ErrorCell",
     "VerificationReport",
     "SizePowerResult",
@@ -46,6 +52,76 @@ __all__ = [
 ]
 
 _NQUAD_OPTS = {"epsabs": 1e-10, "epsrel": 1e-10}
+
+
+# ======================================================================
+# Raw partial-sum processes
+# ======================================================================
+
+@dataclass(frozen=True, eq=False)
+class EmpiricalField:
+    """Partial-sum field Q(u) = sum of Y over rows with X <= u coordinatewise."""
+
+    X: np.ndarray
+    Y: np.ndarray
+
+    def __post_init__(self):
+        X = np.asarray(self.X, dtype=float)
+        Y = np.asarray(self.Y, dtype=float)
+        if X.ndim != 2 or Y.shape != (X.shape[0],):
+            raise ValidationError("need X of shape (n, d) and Y of shape (n,)")
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "Y", Y)
+
+    @property
+    def n(self) -> int:
+        return self.X.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.X.shape[1]
+
+    def raw(self, u) -> float:
+        u = np.asarray(u, dtype=float)
+        mask = np.all(self.X <= u, axis=1)
+        return float(self.Y[mask].sum())
+
+
+def empirical_field(X, Y, queries, centers) -> np.ndarray:
+    """Normalized field (Q(u) - n * center(u)) / sqrt(n) at many queries.
+
+    `queries` is (q, d); `centers` supplies the centering value per query
+    (the integral of the conditional mean over the query's orthant, under
+    whatever law the caller is studying).
+    """
+    field = EmpiricalField(X, Y)
+    queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    centers = np.broadcast_to(np.asarray(centers, dtype=float), (queries.shape[0],))
+    if queries.shape[1] != field.d:
+        raise ValidationError("query dimension does not match X")
+    # (q, n) orthant indicators resolved in one pass
+    mask = np.all(field.X[None, :, :] <= queries[:, None, :], axis=2)
+    raw = mask @ field.Y
+    return (raw - field.n * centers) / math.sqrt(field.n)
+
+
+def concomitant_sum_process(X, Y, k: int, grid) -> np.ndarray:
+    """Cumulative sums of Y along coordinate k, read at grid levels.
+
+    Rows are sorted by X[:, k] (stable) and the first [n * t] sorted Y
+    values are summed and divided by sqrt(n), for each t in `grid`.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if X.ndim != 2 or Y.shape != (X.shape[0],):
+        raise ValidationError("need X of shape (n, d) and Y of shape (n,)")
+    if not 0 <= k < X.shape[1]:
+        raise ValidationError(f"coordinate {k} out of range")
+    n = X.shape[0]
+    order = np.argsort(X[:, k], kind="stable")
+    csum = np.concatenate(([0.0], np.cumsum(Y[order])))
+    idx = floor_index(n, grid)
+    return csum[idx] / math.sqrt(n)
 
 
 # ======================================================================

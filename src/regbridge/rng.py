@@ -5,9 +5,11 @@ integer tuples.  Distinct keys give independent streams and equal keys
 give bit-identical draws.  Per-replicate loops over data sets key each
 replicate apart, typically ``(seed, replicate_index, ...)``, so they can
 run in any order or across processes without changing their output.  The
-null simulation instead reads all its normals as consecutive draws of one
-stream, which is cheaper than a generator per replicate and equally
-independent of chunking.
+null simulation instead reads everything it needs as consecutive draws of
+one stream: first one gamma draw per replicate for the small-weight
+remainder, then the normals of the leading weights row by row.  That is
+cheaper than a generator per replicate and equally independent of
+chunking.
 """
 
 from __future__ import annotations

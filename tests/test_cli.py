@@ -389,6 +389,11 @@ class TestVerifyCommand:
         ("gram-identity", ["--n", "40", "--grid", "10"], ["n", "grid"]),
         ("bridges", ["--n", "100", "--replicates", "100",
                      "--emit-table", "t.csv"], []),
+        ("gram-identity", ["--n-jobs", "2"], ["n-jobs"]),
+        ("bridges", ["--n", "100", "--replicates", "100", "--n-jobs", "3",
+                     "--emit-table", "t.csv"], ["n-jobs"]),
+        ("size", ["--n", "40", "--replicates", "5", "--inner-replicates",
+                  "100", "--grid", "10", "--n-jobs", "1"], []),
     ])
     def test_inapplicable_flags_warn_on_stderr(self, name, flags, ignored,
                                                tmp_path, monkeypatch, capsys):

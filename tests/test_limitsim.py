@@ -32,6 +32,58 @@ def series_statistic_samples(replicates, seed, terms=2000):
     return out
 
 
+def imhof_sf(x, weights, mult=None, shift=0.0):
+    """P(sum_j w_j chi2(h_j) + shift > x) by Imhof's (1961) inversion.
+
+    The multiplicities h_j (default 1) may be fractional.  The integrand
+    sin(theta(u) - y u / 2) / (u rho(u)), y = x - shift, is integrated
+    plainly over one period of the carrier, [0, 4 pi / y], and beyond it
+    as two Fourier integrals of the slowly varying factors (QUADPACK's
+    QAWF), which keeps spectra with one dominant weight accurate to about
+    1e-12.
+    """
+    from scipy.integrate import quad
+
+    lam = np.asarray(weights, dtype=float)
+    h = np.ones_like(lam) if mult is None else np.asarray(mult, dtype=float)
+    y = x - shift
+    if y <= 0.0:
+        return 1.0
+
+    def theta(u):
+        return 0.5 * np.sum(h * np.arctan(lam * u))
+
+    def amp(u):
+        return 1.0 / (u * np.exp(0.25 * np.sum(h * np.log1p((lam * u) ** 2))))
+
+    cut = 4.0 * np.pi / y
+    head, e0 = quad(lambda u: np.sin(theta(u) - 0.5 * y * u) * amp(u), 0.0, cut,
+                    limit=200, epsabs=1e-12, epsrel=1e-12)
+    c, e1 = quad(lambda u: np.sin(theta(u)) * amp(u), cut, np.inf,
+                 weight="cos", wvar=0.5 * y, limlst=200, epsabs=1e-12)
+    s, e2 = quad(lambda u: np.cos(theta(u)) * amp(u), cut, np.inf,
+                 weight="sin", wvar=0.5 * y, limlst=200, epsabs=1e-12)
+    assert e0 + e1 + e2 < 1e-9
+    return 0.5 + (head + c - s) / np.pi
+
+
+def split_sf(x, weights):
+    """Tail at x of the law `simulate_null` draws from these weights."""
+    lead, a, nu, b = limitsim._split_weights(np.asarray(weights, dtype=float))
+    return imhof_sf(x, np.append(lead, a), np.append(np.ones(lead.size), nu), b)
+
+
+def max_split_error(weights, spreads=(-1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0, 5.0)):
+    """Largest tail gap between the full law and the split law.
+
+    Read at mean + c sd of the full law for each c in `spreads`.
+    """
+    w = np.asarray(weights, dtype=float)
+    mean, sd = w.sum(), np.sqrt(2.0 * np.sum(w * w))
+    xs = [mean + c * sd for c in spreads if mean + c * sd > 0.0]
+    return max(abs(imhof_sf(x, w) - split_sf(x, w)) for x in xs)
+
+
 def reconstruct(spectrum, matrix):
     """V diag(weights) V' with V the eigenvectors of the symmetrized input."""
     A = np.asarray(matrix, dtype=float)
@@ -159,21 +211,37 @@ class TestFactorPSD:
 class TestSimulateNull:
     def test_matches_manual_replicates(self):
         cov = rb.analytic_covariance(rb.fixtures.single_uniform_model())
-        grid = rb.GridSpec(5)
+        grid = rb.GridSpec(20)
         f = rb.factor_psd(rb.build_grid_covariance(cov, grid))
         null = rb.simulate_null(f, 120, grid, seed=(7, 3))
-        # Oracle: |F g_r|^2 / m with the factor F = V diag(sqrt(w)) built
-        # here from the full eigendecomposition, and g_r row r of the one
-        # null stream, keyed [collapse_seed(seed), 2**64 - 1].
+        # Oracle, built here from the full eigendecomposition: the K
+        # largest clipped eigenvalues w (the fewest K >= 8 leaving at most
+        # 1e-3 of sum w^2 behind) enter as |F g_r|^2 with F = V diag(sqrt(w))
+        # restricted to them; the rest r as 2 a x_r + b, with x_r a
+        # gamma(nu / 2) draw.  The one null stream, keyed
+        # [collapse_seed(seed), 2**64 - 1], yields the 120 x_r first, then
+        # the rows g_r.
         w, V = np.linalg.eigh(rb.build_grid_covariance(cov, grid))
-        F = V * np.sqrt(np.where(w < f.clip_floor, 0.0, w))
-        eff = collapse_seed((7, 3))
-        g = philox_stream(eff, (1 << 64) - 1).standard_normal((120, f.dim))
+        w = np.where(w < f.clip_floor, 0.0, w)
+        desc = np.argsort(w)[::-1][:np.count_nonzero(w)]
+        total = np.sum(w ** 2)
+        k = next(k for k in range(8, desc.size + 1)
+                 if np.sum(w[desc[k:]] ** 2) <= 1e-3 * total)
+        r = w[desc[k:]]
+        a = np.sum(r ** 3) / np.sum(r ** 2)
+        nu = np.sum(r ** 2) ** 3 / np.sum(r ** 3) ** 2
+        b = np.sum(r) - a * nu
+        # A remainder with a fractional nu and a positive shift.
+        assert 0 < r.size and nu != round(nu) and b > 1e-3 * np.sum(r)
+        F = V[:, desc[:k]] * np.sqrt(w[desc[:k]])
+        gen = philox_stream(collapse_seed((7, 3)), (1 << 64) - 1)
+        x = gen.standard_gamma(nu / 2, 120)
+        g = gen.standard_normal((120, k))
         manual = np.empty(120)
-        for r in range(120):
-            z = F @ g[r]
-            manual[r] = float(z @ z) / grid.m
-        # Same draws, same order; only BLAS summation order may differ.
+        for i in range(120):
+            z = F @ g[i]
+            manual[i] = (float(z @ z) + 2 * a * x[i] + b) / grid.m
+        # Same draws, same order; only the summation order may differ.
         assert np.allclose(null.samples, np.sort(manual), rtol=1e-12, atol=0.0)
         assert null.clip_count == f.clip_count
 
@@ -250,21 +318,10 @@ class TestSimulateNull:
         # with the weights taken here from the pinned-bridge kernel
         # min(s, t) - s t on the grid: an oracle for the law the single
         # stream carries, independent of the simulator.
-        from scipy.integrate import quad
-
         m, replicates = 100, 20_000
         t = np.arange(1, m + 1) / m
         lam = np.linalg.eigvalsh(np.minimum.outer(t, t) - np.outer(t, t)) / m
-        lam = lam[lam > 1e-12]
-
-        def integrand(u):
-            theta = 0.5 * np.sum(np.arctan(lam * u)) - 0.5 * x * u
-            rho = np.prod((1.0 + (lam * u) ** 2) ** 0.25)
-            return np.sin(theta) / (u * rho)
-
-        integral, err = quad(integrand, 0.0, np.inf, limit=500, epsabs=1e-10)
-        assert err < 1e-6
-        exact = 0.5 + integral / np.pi
+        exact = imhof_sf(x, lam[lam > 1e-12])
 
         grid = rb.GridSpec(m)
         f = rb.factor_psd(rb.build_grid_covariance(
@@ -273,6 +330,102 @@ class TestSimulateNull:
         emp = float(np.mean(null.samples > x))
         se = np.sqrt(exact * (1.0 - exact) / replicates)
         assert abs(emp - exact) < 4.0 * se
+
+
+@st.composite
+def decaying_spectra(draw):
+    """Power-law, geometric or log-uniform weights, dimension 2 to 400."""
+    k = np.arange(1, draw(st.integers(2, 400)) + 1)
+    kind = draw(st.sampled_from(["power", "geometric", "log-uniform"]))
+    if kind == "power":
+        return k ** -draw(st.floats(1.5, 4.0))
+    if kind == "geometric":
+        return draw(st.floats(0.01, 0.99)) ** k
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return np.exp(rng.uniform(np.log(1e-6), 0.0, k.size))
+
+
+def fixture_spectrum(model, seed):
+    """Clipped grid spectrum of one null dataset at n = 500, m = 100."""
+    data = rb.sample_h0(rb.fixtures.get_model(model), 500, seed)
+    cov = rb.run_adequacy_test(data, grid_m=100, replicates=100).covariance
+    return rb.factor_psd(rb.build_grid_covariance(cov, rb.GridSpec(100))).weights
+
+
+class TestSplitLaw:
+    """The leading weights plus one shifted chi-square for the rest."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(w=st.one_of(decaying_spectra(),
+                       arrays(np.float64, st.integers(1, 60),
+                              elements=st.floats(0.0, 1.0))))
+    def test_cut_and_cumulants(self, w):
+        # Leading part plus remainder law keep the first three cumulants
+        # of sum w_k chi2(1), and the cut is the fewest K >= 8 leaving at
+        # most 1e-3 of sum w^2 behind.
+        lead, a, nu, b = limitsim._split_weights(w)
+        pos = np.sort(w[w > 0])[::-1]
+        k = lead.size
+        assert np.array_equal(lead, pos[:k])
+        assert (nu > 0) == (k < pos.size) and b >= 0
+        if not pos.size:
+            return
+        # In units of the largest weight, so that no power underflows.
+        u, a, b = pos / pos[0], a / pos[0], b / pos[0]
+        tail = [np.sum(u[j:] ** 2) for j in range(u.size + 1)]
+        share = 1e-3 * tail[0]
+        assert k == u.size or (k >= 8 and tail[k] <= share)
+        assert k <= 8 or tail[k - 1] > share
+        for p in (1, 2, 3):
+            assert np.sum(u[:k] ** p) + a ** p * nu + (b if p == 1 else 0.0) \
+                == pytest.approx(np.sum(u ** p), rel=1e-9, abs=0.0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(w=decaying_spectra())
+    def test_tail_matches_full_law(self, w):
+        assert max_split_error(w / w.sum()) <= 2e-5
+
+    @pytest.mark.parametrize("name", ["pinned", "size", "cli-small"])
+    def test_fixture_spectra(self, name):
+        if name == "pinned":
+            grid = rb.GridSpec(100)
+            w = rb.factor_psd(rb.build_grid_covariance(
+                rb.fixtures.pinned_bridge_covariance(), grid)).weights
+        else:
+            model = {"size": "single-uniform", "cli-small": "two-uniform"}[name]
+            w = fixture_spectrum(model, 3)
+        lead = limitsim._split_weights(w)[0]
+        # Few leading terms are drawn (the speed-up), yet the tail moves
+        # by far less than Monte Carlo error at any usable replicate count.
+        assert lead.size <= np.count_nonzero(w) // 3
+        assert max_split_error(w) <= 1e-5
+
+    def test_equal_remainder_is_exact(self):
+        w = np.concatenate([1.0 / np.arange(1, 9), np.full(100, 1e-3)])
+        lead, a, nu, b = limitsim._split_weights(w)
+        assert lead.size == 8
+        assert a == pytest.approx(1e-3, rel=1e-12)
+        assert nu == pytest.approx(100.0, rel=1e-12)
+        assert b <= 1e-15
+        assert max_split_error(w) <= 1e-9
+
+    def test_empty_remainder_draws_no_gamma(self):
+        # Four positive weights stay below the floor of eight leading
+        # terms, so the stream yields the rows from its first draw on.
+        w = np.array([3.0, 2.0, 1.0, 0.5, 0.0, 0.0])
+        f = rb.factor_psd(np.diag(w))
+        assert limitsim._split_weights(f.weights)[2] == 0.0
+        null = rb.simulate_null(f, 100, rb.GridSpec(6), seed=4)
+        g = philox_stream(4, -1).standard_normal((100, 4))
+        assert np.allclose(null.samples, np.sort((g ** 2) @ w[:4] / 6),
+                           rtol=1e-12, atol=0.0)
+
+    def test_zero_weights_split_to_nothing(self):
+        lead, a, nu, b = limitsim._split_weights(np.zeros(5))
+        assert lead.size == 0 and (a, nu, b) == (0.0, 0.0, 0.0)
+        null = rb.simulate_null(rb.factor_psd(np.zeros((5, 5))), 100,
+                                rb.GridSpec(5), seed=0)
+        assert np.all(null.samples == 0.0)
 
 
 # ======================================================================
