@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bridge import BridgeProcess, omega_sq, residual_bridge
 from .covmodel import CovarianceModel, empirical_covariance
 from .dataset import Dataset

@@ -11,6 +11,13 @@ along the rows sorted by column j, and G is the normalized Gram matrix.
 Everything here exists in two interchangeable flavors: empirical
 ingredients estimated from a dataset, and closed forms for models with
 independent latent coordinates.
+
+The empirical C on an m_s x m_t grid of levels comes from one histogram
+of bucket pairs, not from (m, n) indicator matrices: each row falls in
+the bucket of the first level whose order-statistic threshold it is at
+or below (the `<=` rule, ties included), and a 2-D cumulative sum of the
+bucket-pair counts gives every cell.  That costs O(n log m + m_s m_t)
+time and O(n + m_s m_t) memory, and every cell is an exact count over n.
 """
 
 from __future__ import annotations
@@ -109,7 +116,20 @@ class EmpiricalJointCDF:
 
     The (s, t) cell counts rows whose column-i value is at most the
     [ns]-th order statistic of column i and whose column-j value is at
-    most the [nt]-th order statistic of column j, divided by n.
+    most the [nt]-th order statistic of column j, divided by n.  The
+    `<=` rule counts every row tied with a threshold.  A level with
+    [ns] = 0 has threshold -inf and covers no row of a finite column.
+
+    `cdf_grid` never forms (levels, n) indicator matrices.  Between two
+    slots it sorts each slot's thresholds, puts every row in the bucket
+    of the first level whose threshold covers it (`searchsorted`),
+    histograms the bucket pairs into an (m_s + 1, m_t + 1) table, takes
+    its 2-D cumulative sum and reads each level at its threshold's rank:
+    O(n log m + m_s m_t) time, O(n + m_s m_t) memory.  Within one slot a
+    row is under both thresholds iff it is under the lower one, so a
+    cell is the count of sorted values at or below the lower threshold:
+    O(m log n + m_s m_t), with no pass over the rows.  Every cell is an
+    exact integer count divided by n.
     """
 
     columns: tuple[np.ndarray, ...]
@@ -119,24 +139,29 @@ class EmpiricalJointCDF:
     def n(self) -> int:
         return self.columns[0].shape[0]
 
-    def _indicators(self, slot: int, levels: np.ndarray) -> np.ndarray:
-        n = self.n
-        counts = floor_index(n, levels)
-        col = self.columns[slot]
-        srt = self.sorted_columns[slot]
-        out = np.zeros((levels.shape[0], n))
-        nz = counts > 0
-        if np.any(nz):
-            thr = srt[counts[nz] - 1]
-            out[nz] = col[None, :] <= thr[:, None]
-        return out
+    def _thresholds(self, slot: int, levels) -> np.ndarray:
+        """The [n * level]-th order statistic of the slot's column, -inf at 0."""
+        counts = floor_index(self.n, np.atleast_1d(np.asarray(levels, dtype=float)))
+        return np.where(counts > 0, self.sorted_columns[slot][counts - 1], -np.inf)
 
     def cdf_grid(self, i: int, j: int, svals, tvals) -> np.ndarray:
-        svals = np.atleast_1d(np.asarray(svals, dtype=float))
-        tvals = np.atleast_1d(np.asarray(tvals, dtype=float))
-        bi = self._indicators(i, svals)
-        bj = self._indicators(j, tvals)
-        return (bi @ bj.T) / self.n
+        ts = self._thresholds(i, svals)
+        tt = self._thresholds(j, tvals)
+        if i == j:
+            srt = self.sorted_columns[i]
+            return np.minimum.outer(np.searchsorted(srt, ts, side="right"),
+                                    np.searchsorted(srt, tt, side="right")) / self.n
+        # A row's bucket is the number of thresholds below its value, so it
+        # lies under the level ranked k among the sorted thresholds iff its
+        # bucket is at most k.
+        ss, st = np.sort(ts), np.sort(tt)
+        width = st.shape[0] + 1
+        pairs = (np.searchsorted(ss, self.columns[i], side="left") * width
+                 + np.searchsorted(st, self.columns[j], side="left"))
+        hist = np.bincount(pairs, minlength=(ss.shape[0] + 1) * width)
+        counts = hist.reshape(-1, width).cumsum(axis=0).cumsum(axis=1)
+        return (counts.take(np.searchsorted(ss, ts, side="left"), axis=0)
+                .take(np.searchsorted(st, tt, side="left"), axis=1) / self.n)
 
 
 @dataclass(frozen=True)

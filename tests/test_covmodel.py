@@ -1,13 +1,17 @@
 """Covariance kernel ingredients: running means, pairwise cdfs, khat."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import regbridge as rb
 from regbridge.covmodel import (AnalyticLorentz, GridLorentz, EmpiricalJointCDF,
                                 IndependenceFixture, ProductJointCDF)
 from regbridge.errors import (SingularDesignError, UnsupportedModelError,
                               ValidationError)
+from regbridge.limitsim import GridSpec
 
 # Hand-inverted Gram matrix of the single-uniform design, kept explicit so
 # the khat checks do not route through the code under test.
@@ -154,6 +158,37 @@ class TestProductJointCDF:
         assert np.allclose(grid, np.outer([0.5, 1.0], [0.2, 0.4, 1.0]))
 
 
+def dense_cdf_grid(joint, i, j, svals, tvals):
+    """Reference: product of the dense (levels, n) 0/1 indicator matrices."""
+    def indicators(slot, levels):
+        counts = rb.floor_index(joint.n, np.asarray(levels, dtype=float))
+        out = np.zeros((len(levels), joint.n))
+        nz = counts > 0
+        thresholds = joint.sorted_columns[slot][counts[nz] - 1]
+        out[nz] = joint.columns[slot][None, :] <= thresholds[:, None]
+        return out
+
+    return (indicators(i, svals) @ indicators(j, tvals).T) / joint.n
+
+
+@st.composite
+def two_column_joints(draw):
+    """Two ordering columns of one length, either 5-level or tie-free."""
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        values = st.lists(st.integers(0, 4).map(float), min_size=n, max_size=n)
+    else:
+        values = st.lists(st.floats(-1e6, 1e6, allow_nan=False),
+                          min_size=n, max_size=n, unique=True)
+    cols = (np.array(draw(values)), np.array(draw(values)))
+    return EmpiricalJointCDF(columns=cols,
+                             sorted_columns=tuple(np.sort(c) for c in cols))
+
+
+LEVEL_LISTS = st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                       min_size=1, max_size=12)
+
+
 class TestEmpiricalJointCDF:
     def make_joint(self):
         x = np.array([0.1, 0.5, 0.9, 0.7])
@@ -188,6 +223,37 @@ class TestEmpiricalJointCDF:
             for b, t in enumerate(levels):
                 grid[a, b] = joint.cdf_grid(0, 1, [s], [t])[0, 0]
         assert np.max(np.abs(grid - np.outer(levels, levels))) < 0.03
+
+    @given(joint=two_column_joints(), svals=LEVEL_LISTS, tvals=LEVEL_LISTS)
+    @example(joint=EmpiricalJointCDF(
+                 columns=(np.array([2.0, 0.0, 2.0, 1.0, 0.0]),
+                          np.array([0.3, 0.1, 0.5, 0.2, 0.4])),
+                 sorted_columns=(np.array([0.0, 0.0, 1.0, 2.0, 2.0]),
+                                 np.array([0.1, 0.2, 0.3, 0.4, 0.5]))),
+             svals=[0.6, 0.0, 1.0, 0.2], tvals=[1.0, 0.4, 0.0])
+    def test_matches_dense_indicator_product(self, joint, svals, tvals):
+        for i in range(2):
+            for j in range(2):
+                assert np.array_equal(joint.cdf_grid(i, j, svals, tvals),
+                                      dense_cdf_grid(joint, i, j, svals, tvals))
+
+    def test_kernel_memory_is_linear_in_n(self):
+        # Every khat_grid block of a two-slot design at n = 10^5, m = 100.
+        # The indicator product peaked at about 170 MB traced here; the
+        # bucket histogram needs a few n-length integer arrays.
+        d = rb.sample_h0(rb.fixtures.two_uniform_model(), 100_000, 3)
+        fit = rb.fit_lse(d)
+        cov = rb.empirical_covariance(d, rb.all_orderings(d, fit), gram=fit.gram)
+        pts = GridSpec(100).points()
+        tracemalloc.start()
+        try:
+            for i in range(2):
+                for j in range(i, 2):
+                    cov.khat_grid(i, j, pts, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 # ======================================================================

@@ -1,7 +1,5 @@
 """Dataset invariants, CSV round trips, and the synthetic samplers."""
 
-import math
-
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
