@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from .bridge import BridgeProcess, omega_sq, residual_bridge
 from .covmodel import CovarianceModel, empirical_covariance
 from .dataset import Dataset
+from .errors import ValidationError
 from .limitsim import (GridSpec, NullDistribution, build_grid_covariance,
                        factor_psd, p_value, simulate_null, CLIP_FLOOR)
 from .ols import FitResult, fit_lse
@@ -51,7 +52,7 @@ def run_adequacy_test(data: Dataset, grid_m: int = 100, replicates: int = 10000,
     simulated draws of the limiting statistic on an m-point grid.
     """
     if not 0.0 < level <= 1.0:
-        raise ValueError(f"level must lie in (0, 1], got {level}")
+        raise ValidationError(f"level must lie in (0, 1], got {level}")
     fit = fit_lse(data)
     views = all_orderings(data, fit)
     bridges = tuple(residual_bridge(v, fit.sigma2_hat) for v in views)

@@ -35,9 +35,9 @@ def floor_index(n: int, t) -> np.ndarray:
     step low through floating-point rounding.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0) or np.any(t > 1.0):
+    if (t < 0.0).any() or (t > 1.0).any():
         raise ValidationError("grid levels must lie in [0, 1]")
-    return np.clip(np.floor(n * t + 1e-9).astype(int), 0, n)
+    return np.minimum(np.maximum(np.floor(n * t + 1e-9).astype(int), 0), n)
 
 
 @dataclass(frozen=True)

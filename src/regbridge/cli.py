@@ -262,7 +262,12 @@ def _build_model(args) -> SyntheticModel:
     if args.theta is None:
         theta = tuple([1.0] * d + [0.0])
     else:
-        theta = tuple(float(v) for v in args.theta.split(","))
+        try:
+            theta = tuple(float(v) for v in args.theta.split(","))
+        except ValueError:
+            raise ValidationError(
+                f"--theta must be comma-separated numbers, got {args.theta!r}"
+            ) from None
     if args.noise not in ("normal", "uniform"):
         raise ValidationError(
             f"unknown --noise {args.noise!r} (use normal or uniform)")

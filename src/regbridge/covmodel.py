@@ -83,10 +83,10 @@ class GridLorentz:
     def values(self, t) -> np.ndarray:
         """Curve values at levels t, shape (len(t), p)."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t < 0.0) or np.any(t > 1.0):
+        if (t < 0.0).any() or (t > 1.0).any():
             raise ValidationError("levels must lie in [0, 1]")
         pos = t * self.n
-        i0 = np.clip(np.floor(pos).astype(int), 0, self.n - 1)
+        i0 = np.minimum(np.maximum(np.floor(pos).astype(int), 0), self.n - 1)
         w = (pos - i0)[:, None]
         gv = self.grid_values
         return (1.0 - w) * gv[i0] + w * gv[i0 + 1]
@@ -146,11 +146,13 @@ class EmpiricalJointCDF:
 
     def cdf_grid(self, i: int, j: int, svals, tvals) -> np.ndarray:
         ts = self._thresholds(i, svals)
-        tt = self._thresholds(j, tvals)
         if i == j:
             srt = self.sorted_columns[i]
-            return np.minimum.outer(np.searchsorted(srt, ts, side="right"),
-                                    np.searchsorted(srt, tt, side="right")) / self.n
+            cs = np.searchsorted(srt, ts, side="right")
+            ct = cs if tvals is svals else np.searchsorted(
+                srt, self._thresholds(j, tvals), side="right")
+            return np.minimum.outer(cs, ct) / self.n
+        tt = self._thresholds(j, tvals)
         # A row's bucket is the number of thresholds below its value, so it
         # lies under the level ranked k among the sorted thresholds iff its
         # bucket is at most k.
@@ -280,7 +282,12 @@ class CovarianceModel:
         svals = np.atleast_1d(np.asarray(svals, dtype=float))
         tvals = np.atleast_1d(np.asarray(tvals, dtype=float))
         li = self.lorentz[i].values(svals)
-        lj = self.lorentz[j].values(tvals)
+        if i == j and np.array_equal(svals, tvals):
+            # A diagonal block on equal levels: one curve evaluation, and
+            # `cdf_grid` sees the same array twice and ranks it once.
+            tvals, lj = svals, li
+        else:
+            lj = self.lorentz[j].values(tvals)
         return self.joint.cdf_grid(i, j, svals, tvals) - li @ self.gram_inv @ lj.T
 
     def khat(self, i: int, j: int, s: float, t: float) -> float:
@@ -305,10 +312,14 @@ def estimate_gram(data: Dataset) -> np.ndarray:
     return (X.T @ X) / data.n
 
 
-def _empirical_joint(data: Dataset) -> EmpiricalJointCDF:
+def _empirical_joint(data: Dataset,
+                     views: tuple[OrderedView, ...]) -> EmpiricalJointCDF:
+    """Pairwise cdf estimate; each view's rows are its column already sorted."""
     cols = tuple(np.asarray(data.regressors[:, j]) for j in data.order_columns)
-    return EmpiricalJointCDF(columns=cols,
-                             sorted_columns=tuple(np.sort(c) for c in cols))
+    return EmpiricalJointCDF(
+        columns=cols,
+        sorted_columns=tuple(np.ascontiguousarray(v.sorted_regressors[:, v.column])
+                             for v in views))
 
 
 def _spd_inverse(G: np.ndarray, cond_limit: float = _GRAM_COND_LIMIT) -> np.ndarray:
@@ -332,7 +343,7 @@ def empirical_covariance(data: Dataset, views: tuple[OrderedView, ...],
         lorentz=tuple(estimate_lorentz(v) for v in views),
         gram=G,
         gram_inv=_spd_inverse(G),
-        joint=_empirical_joint(data),
+        joint=_empirical_joint(data, views),
     )
 
 

@@ -119,12 +119,12 @@ class NullDistribution:
         ``numpy.ma``).  A float for scalar `q`, an array for array `q`.
         """
         q = np.asarray(q)
-        if not np.all((q >= 0) & (q <= 1)):
+        if not ((q >= 0) & (q <= 1)).all():
             raise ValueError("Quantiles must be in the range [0, 1]")
         s = self.samples
         n = s.size
         v = (n - 1) * q
-        lo = np.clip(np.floor(v), 0, n - 1).astype(np.intp)
+        lo = np.minimum(np.maximum(np.floor(v), 0), n - 1).astype(np.intp)
         hi = np.minimum(lo + 1, n - 1)
         t = np.asarray(v - lo, dtype=v.dtype)
         a, b = s[lo], s[hi]
@@ -170,11 +170,14 @@ def factor_psd(matrix: np.ndarray, clip_floor: float = CLIP_FLOOR) -> NullSpectr
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValidationError("matrix must be square")
     scale = float(np.max(np.abs(A))) if A.size else 0.0
-    if float(np.max(np.abs(A - A.T))) > 1e-12 * max(scale, 1.0):
+    skew = A - A.T
+    if float(np.max(np.abs(skew))) > 1e-12 * max(scale, 1.0):
         raise ValidationError("matrix must be symmetric")
     if clip_floor < 0:
         raise ValidationError("clip_floor must be >= 0")
-    w = np.linalg.eigvalsh(0.5 * (A + A.T))
+    # On exactly symmetric input, such as `build_grid_covariance` output,
+    # 0.5 * (A + A') is A bit for bit, so it need not be formed.
+    w = np.linalg.eigvalsh(0.5 * (A + A.T) if skew.any() else A)
     below = w < clip_floor
     return NullSpectrum(weights=np.where(below, 0.0, w),
                         clip_count=int(np.count_nonzero(below)),

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import regbridge as rb
 from regbridge.errors import DegenerateModelError, ValidationError
@@ -162,6 +164,16 @@ class TestFloorIndex:
     def test_domain(self):
         with pytest.raises(ValidationError):
             rb.floor_index(5, 1.2)
+
+    @given(n=st.integers(1, 10 ** 6),
+           t=arrays(np.float64, st.integers(1, 50),
+                    elements=st.one_of(st.sampled_from([0.0, 1.0]),
+                                       st.floats(0.0, 1.0))))
+    @example(n=100, t=np.array([0.0, 0.29, 0.57, 1.0]))
+    def test_matches_clip_form(self, n, t):
+        ref = np.clip(np.floor(n * t + 1e-9).astype(int), 0, n)
+        out = rb.floor_index(n, t)
+        assert out.dtype == ref.dtype and np.array_equal(out, ref)
 
 
 # ======================================================================

@@ -146,6 +146,19 @@ class TestTestExitCodes:
                    "--replicates", "50"])
         assert rc == EXIT_INPUT
 
+    @pytest.mark.parametrize("level", ["0", "1.5", "nan"])
+    def test_level_outside_unit_interval_is_input_error(self, tmp_path, capsys,
+                                                         level):
+        data_path = run_simulate(tmp_path, n=40)
+        capsys.readouterr()
+        rc = main(["test", "--input", str(data_path), "--response", "y",
+                   "--order-columns", "x1", "--intercept", "const",
+                   "--grid", "10", "--replicates", "150", "--level", level])
+        err = capsys.readouterr().err
+        assert rc == EXIT_INPUT
+        assert err.startswith("error: level must lie in (0, 1], got ")
+        assert "Traceback" not in err
+
     def test_collinear_design_exits_singular(self, tmp_path):
         path = tmp_path / "collinear.csv"
         rng = np.random.default_rng(0)
@@ -218,6 +231,17 @@ class TestSimulateCommand:
                    "--copula", "clayton", "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_INPUT
         assert "copula" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("theta", ["a,b", "1,", ""])
+    def test_non_numeric_theta_is_input_error(self, tmp_path, capsys, theta):
+        path = tmp_path / "x.csv"
+        rc = main(["simulate", "--model", "h0", "--n", "10",
+                   "--theta", theta, "--out", str(path)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_INPUT
+        assert err.startswith("error: --theta must be comma-separated numbers")
+        assert "Traceback" not in err
+        assert not path.exists()
 
     def test_unknown_model_is_input_error(self, tmp_path):
         rc = main(["simulate", "--model", "cubic", "--n", "10",

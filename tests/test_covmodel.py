@@ -256,6 +256,67 @@ class TestEmpiricalJointCDF:
         assert peak < 20e6
 
 
+@st.composite
+def ordering_covariances(draw):
+    """Empirical covariance model of d = 1..3 tied or tie-free columns.
+
+    Tied columns take 5 levels, tie-free ones distinct floats.  The Gram
+    matrix is the data's plus the identity, so that every draw is
+    invertible; the kernel code never relies on which Gram it is given.
+    """
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 40))
+    cols = []
+    for _ in range(d):
+        if draw(st.booleans()):
+            values = st.lists(st.integers(0, 4).map(float), min_size=n, max_size=n)
+        else:
+            values = st.lists(st.floats(-1e3, 1e3, allow_nan=False),
+                              min_size=n, max_size=n, unique=True)
+        cols.append(draw(values))
+    reg = np.column_stack(cols + [np.ones(n)])
+    data = rb.Dataset(regressors=reg, response=np.zeros(n),
+                      order_columns=tuple(range(d)), intercept_column=d)
+    gram = rb.estimate_gram(data) + np.eye(d + 1)
+    return data, rb.empirical_covariance(data, rb.all_orderings(data, None),
+                                         gram=gram)
+
+
+def khat_grid_twice(cov, i, j, svals, tvals):
+    """Reference: each side's curve and thresholds evaluated on its own.
+
+    `tvals` is copied, so `cdf_grid` never sees the same array twice.
+    """
+    svals = np.atleast_1d(np.asarray(svals, dtype=float))
+    tvals = np.array(tvals, dtype=float, ndmin=1)
+    li = cov.lorentz[i].values(svals)
+    lj = cov.lorentz[j].values(tvals)
+    return cov.joint.cdf_grid(i, j, svals, tvals) - li @ cov.gram_inv @ lj.T
+
+
+class TestSharedKernelIngredients:
+    """Work done once per call gives the same bits as doing it twice."""
+
+    @given(case=ordering_covariances(), levels=LEVEL_LISTS,
+           m=st.integers(2, 30))
+    def test_diagonal_blocks_match_separate_evaluation(self, case, levels, m):
+        _, cov = case
+        for pts in (GridSpec(m).points(), np.array(levels)):
+            for i in range(cov.d_order):
+                ref = khat_grid_twice(cov, i, i, pts, pts).tobytes()
+                assert cov.khat_grid(i, i, pts, pts).tobytes() == ref
+                assert cov.khat_grid(i, i, pts, pts.copy()).tobytes() == ref
+                assert cov.khat_grid(i, i, list(pts), pts).tobytes() == ref
+
+    @given(case=ordering_covariances())
+    def test_sorted_columns_come_from_the_views(self, case):
+        data, cov = case
+        for k, j in enumerate(data.order_columns):
+            srt = cov.joint.sorted_columns[k]
+            assert srt.flags.c_contiguous
+            assert np.array_equal(srt, np.sort(data.regressors[:, j]))
+
+
 # ======================================================================
 # Assembled kernel
 # ======================================================================

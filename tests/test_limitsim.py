@@ -149,6 +149,29 @@ class TestFactorPSD:
         with pytest.raises(ValidationError):
             rb.factor_psd(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @given(b=st.integers(1, 12).flatmap(lambda k: arrays(
+        np.float64, (k, k), elements=st.floats(-1e3, 1e3))))
+    def test_symmetric_input_gives_the_symmetrized_weights(self, b):
+        # Exactly symmetric input skips forming 0.5 * (A + A'), which is
+        # A bit for bit; an asymmetry under the tolerance still goes
+        # through it, and one above the tolerance is refused.
+        A = b + b.T
+        w = np.linalg.eigvalsh(0.5 * (A + A.T))
+        f = rb.factor_psd(A)
+        assert f.weights.tobytes() == np.where(w < f.clip_floor, 0.0, w).tobytes()
+        tol = 1e-12 * max(float(np.max(np.abs(A))), 1.0)
+        if A.shape[0] < 2:
+            return
+        near = A.copy()
+        near[0, 1] += 0.1 * tol
+        w = np.linalg.eigvalsh(0.5 * (near + near.T))
+        assert rb.factor_psd(near).weights.tobytes() == \
+            np.where(w < f.clip_floor, 0.0, w).tobytes()
+        far = A.copy()
+        far[0, 1] += 10.0 * tol
+        with pytest.raises(ValidationError):
+            rb.factor_psd(far)
+
     def test_rejects_nonsquare(self):
         with pytest.raises(ValidationError):
             rb.factor_psd(np.zeros((2, 3)))
