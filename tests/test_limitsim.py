@@ -84,6 +84,12 @@ def max_split_error(weights, spreads=(-1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0, 5.0))
     return max(abs(imhof_sf(x, w) - split_sf(x, w)) for x in xs)
 
 
+def null_stream(seed):
+    """The null stream of `seed`, built here from its documented seed words."""
+    return np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence([collapse_seed(seed), (1 << 64) - 1])))
+
+
 def reconstruct(spectrum, matrix):
     """V diag(weights) V' with V the eigenvectors of the symmetrized input."""
     A = np.asarray(matrix, dtype=float)
@@ -241,7 +247,7 @@ class TestSimulateNull:
         # largest clipped eigenvalues w (the fewest K >= 8 leaving at most
         # 1e-3 of sum w^2 behind) enter as |F g_r|^2 with F = V diag(sqrt(w))
         # restricted to them; the rest r as 2 a x_r + b, with x_r a
-        # gamma(nu / 2) draw.  The one null stream, keyed
+        # gamma(nu / 2) draw.  The one null stream, SFC64 seeded by
         # [collapse_seed(seed), 2**64 - 1], yields the 120 x_r first, then
         # the rows g_r.
         w, V = np.linalg.eigh(rb.build_grid_covariance(cov, grid))
@@ -257,7 +263,7 @@ class TestSimulateNull:
         # A remainder with a fractional nu and a positive shift.
         assert 0 < r.size and nu != round(nu) and b > 1e-3 * np.sum(r)
         F = V[:, desc[:k]] * np.sqrt(w[desc[:k]])
-        gen = philox_stream(collapse_seed((7, 3)), (1 << 64) - 1)
+        gen = null_stream((7, 3))
         x = gen.standard_gamma(nu / 2, 120)
         g = gen.standard_normal((120, k))
         manual = np.empty(120)
@@ -286,14 +292,15 @@ class TestSimulateNull:
     @pytest.mark.parametrize("seed", [0, 5, 11, -1])
     def test_null_rows_differ_from_data_stream(self, seed):
         # sample_h0 with int seed s draws from philox_stream(s), the key
-        # [s, 0]; the null stream of the same seed must not replay it.
+        # [s, 0]; the null stream of the same seed must replay neither it
+        # nor the Philox key [s, 2**64 - 1].
         f = rb.factor_psd(np.eye(4))
         null = rb.simulate_null(f, 100, rb.GridSpec(4), seed=seed)
-        own = philox_stream(seed, -1).standard_normal((100, 4))
-        data = philox_stream(seed).standard_normal((100, 4))
+        own = null_stream(seed).standard_normal((100, 4))
         assert np.allclose(null.samples, np.sort((own ** 2).sum(1) / 4),
                            rtol=1e-12, atol=0.0)
-        assert not np.any(np.isin(data, own))
+        for data in (philox_stream(seed), philox_stream(seed, -1)):
+            assert not np.any(np.isin(data.standard_normal((100, 4)), own))
 
     def test_replicate_floor(self):
         cov = rb.fixtures.pinned_bridge_covariance()
@@ -439,7 +446,7 @@ class TestSplitLaw:
         f = rb.factor_psd(np.diag(w))
         assert limitsim._split_weights(f.weights)[2] == 0.0
         null = rb.simulate_null(f, 100, rb.GridSpec(6), seed=4)
-        g = philox_stream(4, -1).standard_normal((100, 4))
+        g = null_stream(4).standard_normal((100, 4))
         assert np.allclose(null.samples, np.sort((g ** 2) @ w[:4] / 6),
                            rtol=1e-12, atol=0.0)
 
