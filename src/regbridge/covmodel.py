@@ -128,8 +128,9 @@ class EmpiricalJointCDF:
     O(n log m + m_s m_t) time, O(n + m_s m_t) memory.  Within one slot a
     row is under both thresholds iff it is under the lower one, so a
     cell is the count of sorted values at or below the lower threshold:
-    O(m log n + m_s m_t), with no pass over the rows.  Every cell is an
-    exact integer count divided by n.
+    O(m log n + m_s m_t), with no pass over the rows, and one array passed
+    as both `svals` and `tvals` is ranked once.  Every cell is an exact
+    integer count divided by n.
     """
 
     columns: tuple[np.ndarray, ...]

@@ -10,8 +10,8 @@ output; that is what a counter-based generator is for (Salmon et al.
 consecutive draws of one stream: first one gamma draw per replicate for
 the small-weight remainder, then the normals of the leading weights row
 by row.  That stream is never re-keyed, so it gains nothing from Philox
-and is drawn from SFC64, which makes normals in about 30% less time;
-its output does not depend on chunking either (see
+and is drawn from SFC64, which makes normals in about 30% less time on
+x86-64; its output does not depend on chunking either (see
 `regbridge.limitsim.simulate_null`).
 """
 
