@@ -28,8 +28,8 @@ import numpy as np
 from .adequacy import AdequacyResult, run_adequacy_test
 from .bridge import omega_sq, write_bridge_csv
 from .dataset import (AddQuadratic, AffineQuantile, ColumnSchema,
-                      GaussianCopula, Heteroscedastic, IdentityQuantile,
-                      IndependenceCopula, NoiseSpec, SyntheticModel, Dataset,
+                      GaussianCopula, Heteroscedastic, IndependenceCopula,
+                      NoiseSpec, SyntheticModel, Dataset,
                       exchangeable_correlation, load_csv, sample_alternative,
                       sample_h0, write_csv)
 from .covmodel import verify_gram_identity
@@ -252,7 +252,7 @@ def _build_model(args) -> SyntheticModel:
         raise ValidationError(
             f"unknown --copula {args.copula!r} (use independence or gaussian)")
     if args.quantile == "identity":
-        qs = tuple(IdentityQuantile() for _ in range(d))
+        qs = tuple(AffineQuantile() for _ in range(d))
     elif args.quantile == "affine":
         qs = tuple(AffineQuantile(shift=args.q_shift, scale=args.q_scale)
                    for _ in range(d))
@@ -277,6 +277,11 @@ def _build_model(args) -> SyntheticModel:
 
 def cmd_simulate(args) -> int:
     model = _build_model(args)
+    if (args.model in ("add-quadratic", "heteroscedastic")
+            and not 0 <= args.breach_column < model.d1):
+        raise ValidationError(
+            f"--breach-column must lie in 0..{model.d1 - 1}, "
+            f"got {args.breach_column}")
     if args.model == "h0":
         data = sample_h0(model, args.n, args.seed)
     elif args.model == "add-quadratic":

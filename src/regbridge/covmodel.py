@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bridge import floor_index
-from .dataset import (Dataset, IndependenceCopula, QuantileFunction,
+from .dataset import (AffineQuantile, Dataset, IndependenceCopula,
                       SyntheticModel)
 from .errors import SingularDesignError, UnsupportedModelError, ValidationError
 from .ordering import OrderedView
@@ -185,13 +185,13 @@ class ProductJointCDF:
 
 class IndependenceFixture:
     """Closed-form conditional moments for independent uniforms mapped
-    through per-coordinate quantile functions, plus a trailing intercept.
+    through per-coordinate affine margins, plus a trailing intercept.
 
-    With zero quantile functions this degenerates to the intercept-only
+    With zero margins this degenerates to the intercept-only
     design, where the conditional mean is the constant vector (1,).
     """
 
-    def __init__(self, quantiles: tuple[QuantileFunction, ...]):
+    def __init__(self, quantiles: tuple[AffineQuantile, ...]):
         self.quantiles = tuple(quantiles)
         self.means = np.array([q.mean() for q in self.quantiles])
         self.second_moments = np.array([q.second_moment() for q in self.quantiles])
@@ -234,7 +234,7 @@ class IndependenceFixture:
         out = np.empty((t.shape[0], self.p))
         for a, q in enumerate(self.quantiles):
             if a == j:
-                out[:, a] = q.partial_integral_vec(t)
+                out[:, a] = q.partial_integral(t)
             else:
                 out[:, a] = self.means[a] * t
         out[:, self.d] = t

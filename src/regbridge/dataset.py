@@ -7,10 +7,11 @@ data comes from :class:`SyntheticModel` together with :func:`sample_h0`,
 :func:`sample_alternative`, and :func:`sample_concomitant`.
 
 A synthetic model draws latent coordinates from a copula on the unit cube,
-maps each coordinate through a monotone quantile function to obtain the
-ordering regressors, appends an intercept, and builds the response either
-from a linear predictor plus centered noise (regression mode) or from a
-user-supplied conditional mean and variance (concomitant mode).
+maps each coordinate through an affine margin q(u) = shift + scale * u
+(:class:`AffineQuantile`) to obtain the ordering regressors, appends an
+intercept, and builds the response either from a linear predictor plus
+centered noise (regression mode) or from a user-supplied conditional mean
+and variance (concomitant mode).
 """
 
 from __future__ import annotations
@@ -30,10 +31,7 @@ __all__ = [
     "ColumnSchema",
     "load_csv",
     "write_csv",
-    "QuantileFunction",
-    "IdentityQuantile",
     "AffineQuantile",
-    "FunctionQuantile",
     "Copula",
     "IndependenceCopula",
     "GaussianCopula",
@@ -46,8 +44,6 @@ __all__ = [
     "sample_alternative",
     "sample_concomitant",
 ]
-
-_QUAD_TOL = 1e-11
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -252,73 +248,24 @@ def write_csv(data: Dataset, path) -> None:
 
 
 # ======================================================================
-# Quantile functions
+# Margins
 # ======================================================================
 
-class QuantileFunction:
-    """Monotone map from [0, 1] to a regressor scale.
+@dataclass(frozen=True)
+class AffineQuantile:
+    """Affine margin q(u) = shift + scale * u; the defaults give q(u) = u.
 
-    Subclasses should override the moment helpers with closed forms when
-    they exist; the defaults fall back to adaptive quadrature.
+    A finite shift and a finite, nonnegative scale keep q finite and
+    nondecreasing on [0, 1].
     """
-
-    def __call__(self, u):
-        raise NotImplementedError
-
-    def mean(self) -> float:
-        """Integral of q over [0, 1]."""
-        return self.partial_integral(1.0)
-
-    def second_moment(self) -> float:
-        """Integral of q**2 over [0, 1]."""
-        from scipy.integrate import quad
-
-        return quad(lambda u: float(self(u)) ** 2, 0.0, 1.0,
-                    epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)[0]
-
-    def partial_integral(self, x: float) -> float:
-        """Integral of q over [0, x]."""
-        if x == 0.0:
-            return 0.0
-        from scipy.integrate import quad
-
-        return quad(lambda u: float(self(u)), 0.0, float(x),
-                    epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)[0]
-
-    def partial_integral_vec(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.array([self.partial_integral(v) for v in x.ravel()]
-                        ).reshape(x.shape)
-
-
-@dataclass(frozen=True)
-class IdentityQuantile(QuantileFunction):
-    """q(u) = u, a standard uniform regressor."""
-
-    def __call__(self, u):
-        return np.asarray(u, dtype=float)
-
-    def mean(self) -> float:
-        return 0.5
-
-    def second_moment(self) -> float:
-        return 1.0 / 3.0
-
-    def partial_integral(self, x: float) -> float:
-        return 0.5 * float(x) ** 2
-
-    def partial_integral_vec(self, x) -> np.ndarray:
-        return 0.5 * np.asarray(x, dtype=float) ** 2
-
-
-@dataclass(frozen=True)
-class AffineQuantile(QuantileFunction):
-    """q(u) = shift + scale * u with scale >= 0."""
 
     shift: float = 0.0
     scale: float = 1.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.shift) and math.isfinite(self.scale)):
+            raise ValidationError("affine quantile shift and scale must be "
+                                  f"finite, got {self.shift}, {self.scale}")
         if self.scale < 0:
             raise ValidationError("affine quantile scale must be >= 0")
 
@@ -326,38 +273,17 @@ class AffineQuantile(QuantileFunction):
         return self.shift + self.scale * np.asarray(u, dtype=float)
 
     def mean(self) -> float:
+        """Integral of q over [0, 1]."""
         return self.shift + 0.5 * self.scale
 
     def second_moment(self) -> float:
+        """Integral of q**2 over [0, 1]."""
         return self.shift ** 2 + self.shift * self.scale + self.scale ** 2 / 3.0
 
-    def partial_integral(self, x: float) -> float:
-        x = float(x)
-        return self.shift * x + 0.5 * self.scale * x ** 2
-
-    def partial_integral_vec(self, x) -> np.ndarray:
+    def partial_integral(self, x) -> np.ndarray:
+        """Integral of q over [0, x], elementwise."""
         x = np.asarray(x, dtype=float)
         return self.shift * x + 0.5 * self.scale * x ** 2
-
-
-@dataclass(frozen=True)
-class FunctionQuantile(QuantileFunction):
-    """Wrap an arbitrary nondecreasing callable as a quantile function."""
-
-    fn: Callable
-
-    def __call__(self, u):
-        return np.asarray(self.fn(np.asarray(u, dtype=float)), dtype=float)
-
-
-def check_monotone(q: QuantileFunction, grid_size: int = 257) -> None:
-    """Raise ValidationError if q decreases anywhere on a uniform grid."""
-    g = np.linspace(0.0, 1.0, grid_size)
-    v = np.asarray(q(g), dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValidationError("quantile function must be finite on [0, 1]")
-    if np.any(np.diff(v) < 0):
-        raise ValidationError("quantile function must be nondecreasing")
 
 
 # ======================================================================
@@ -480,7 +406,7 @@ class SyntheticModel:
     """
 
     copula: Copula
-    quantile_funcs: tuple[QuantileFunction, ...] = ()
+    quantile_funcs: tuple[AffineQuantile, ...] = ()
     theta: tuple[float, ...] | None = None
     noise: NoiseSpec = NoiseSpec()
     cond_mean: Callable | None = None
@@ -488,13 +414,12 @@ class SyntheticModel:
 
     def __post_init__(self):
         qs = tuple(self.quantile_funcs) or tuple(
-            IdentityQuantile() for _ in range(self.copula.dim))
+            AffineQuantile() for _ in range(self.copula.dim))
         if len(qs) != self.copula.dim:
             raise ValidationError(
-                f"{len(qs)} quantile functions given for copula dimension "
-                f"{self.copula.dim}")
-        for q in qs:
-            check_monotone(q)
+                f"{len(qs)} margins given for copula dimension {self.copula.dim}")
+        if not all(isinstance(q, AffineQuantile) for q in qs):
+            raise ValidationError("every margin must be an AffineQuantile")
         object.__setattr__(self, "quantile_funcs", qs)
         if self.theta is not None:
             th = tuple(float(v) for v in self.theta)
@@ -515,7 +440,7 @@ class SyntheticModel:
 
 @dataclass(frozen=True)
 class AddQuadratic:
-    """Adequacy breach: add coef * x_column**2 to the response."""
+    """Adequacy breach: add coef * x_column**2, column in 0..d1 - 1."""
 
     coef: float
     column: int = 0
@@ -533,13 +458,12 @@ def _draw_design(model: SyntheticModel, n: int, rng) -> tuple[np.ndarray, np.nda
     if n < 1:
         raise ValidationError("n >= 1 required")
     U = model.copula.sample(n, rng)
-    cols = [np.asarray(q(U[:, j]), dtype=float)
-            for j, q in enumerate(model.quantile_funcs)]
+    cols = [q(U[:, j]) for j, q in enumerate(model.quantile_funcs)]
     for j, c in enumerate(cols):
         if np.any(np.diff(np.sort(c)) == 0):
             raise ValidationError(
-                f"ordering column {j} has ties; quantile function is not "
-                "strictly increasing on the sampled range")
+                f"ordering column {j} has ties; its margin is not strictly "
+                "increasing on the sampled range")
     X = np.column_stack(cols + [np.ones(n)])
     return U, X
 
@@ -577,8 +501,9 @@ def sample_alternative(model: SyntheticModel, breach, n: int, seed) -> Dataset:
     eps = model.noise.sample(rng, n)
     mean = X @ np.asarray(model.theta)
     if isinstance(breach, AddQuadratic):
-        if not 0 <= breach.column < X.shape[1]:
-            raise ValidationError(f"breach column {breach.column} out of range")
+        if not 0 <= breach.column < model.d1:
+            raise ValidationError(
+                f"breach column {breach.column} outside 0..{model.d1 - 1}")
         response = mean + breach.coef * X[:, breach.column] ** 2 + eps
     elif isinstance(breach, Heteroscedastic):
         scale = np.asarray(breach.scale(X[:, : model.d1]), dtype=float)

@@ -16,8 +16,8 @@ import numpy as np
 
 from .covmodel import (AnalyticLorentz, CovarianceModel, IndependenceFixture,
                        ProductJointCDF)
-from .dataset import (AddQuadratic, AffineQuantile, IdentityQuantile,
-                      IndependenceCopula, NoiseSpec, SyntheticModel)
+from .dataset import (AddQuadratic, AffineQuantile, IndependenceCopula,
+                      NoiseSpec, SyntheticModel)
 from .errors import ValidationError
 
 __all__ = [
@@ -87,7 +87,7 @@ def zero_mean_field_model(d: int = 2) -> SyntheticModel:
 def single_uniform_model() -> SyntheticModel:
     """One uniform regressor plus intercept: y = 2 x + 1 + eps."""
     return SyntheticModel(copula=IndependenceCopula(1),
-                          quantile_funcs=(IdentityQuantile(),),
+                          quantile_funcs=(AffineQuantile(),),
                           theta=(2.0, 1.0),
                           noise=NoiseSpec("normal", 1.0))
 
@@ -95,7 +95,7 @@ def single_uniform_model() -> SyntheticModel:
 def two_uniform_model() -> SyntheticModel:
     """Two independent uniform regressors plus intercept."""
     return SyntheticModel(copula=IndependenceCopula(2),
-                          quantile_funcs=(IdentityQuantile(), IdentityQuantile()),
+                          quantile_funcs=(AffineQuantile(), AffineQuantile()),
                           theta=(1.0, -1.0, 0.5),
                           noise=NoiseSpec("normal", 1.0))
 

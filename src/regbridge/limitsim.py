@@ -95,7 +95,6 @@ class NullDistribution:
 
     samples: np.ndarray
     replicates: int
-    grid: GridSpec
     clip_count: int
 
     def __post_init__(self):
@@ -256,7 +255,7 @@ def simulate_null(spectrum: NullSpectrum, replicates: int, grid: GridSpec,
         out[start:stop] += np.einsum("ij,j->i", g, lead)
     out /= grid.m
     return NullDistribution(samples=np.sort(out), replicates=replicates,
-                            grid=grid, clip_count=spectrum.clip_count)
+                            clip_count=spectrum.clip_count)
 
 
 def p_value(stat: float, null: NullDistribution) -> float:

@@ -28,7 +28,6 @@ class OrderedView:
     column: int
     perm: np.ndarray
     sorted_regressors: np.ndarray
-    sorted_response: np.ndarray
     sorted_residuals: np.ndarray | None
 
     @property
@@ -50,10 +49,8 @@ def order_by(data: Dataset, fit: FitResult | None, j: int) -> OrderedView:
         resid.setflags(write=False)
     sreg = data.regressors[perm].copy()
     sreg.setflags(write=False)
-    sresp = data.response[perm].copy()
-    sresp.setflags(write=False)
     return OrderedView(column=j, perm=perm, sorted_regressors=sreg,
-                       sorted_response=sresp, sorted_residuals=resid)
+                       sorted_residuals=resid)
 
 
 def all_orderings(data: Dataset, fit: FitResult | None) -> tuple[OrderedView, ...]:

@@ -243,6 +243,32 @@ class TestSimulateCommand:
         assert "Traceback" not in err
         assert not path.exists()
 
+    @pytest.mark.parametrize("model", ["add-quadratic", "heteroscedastic"])
+    @pytest.mark.parametrize("column", ["1", "-1"])
+    def test_breach_column_outside_ordering_columns_is_input_error(
+            self, tmp_path, capsys, model, column):
+        path = tmp_path / "x.csv"
+        rc = main(["simulate", "--model", model, "--order-dim", "1",
+                   "--breach-column", column, "--n", "10", "--out", str(path)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_INPUT
+        assert err.startswith("error: --breach-column")
+        assert "Traceback" not in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--q-scale", "nan"),
+                                             ("--q-shift", "inf")])
+    def test_non_finite_affine_margin_is_input_error(self, tmp_path, capsys,
+                                                     flag, value):
+        path = tmp_path / "x.csv"
+        rc = main(["simulate", "--model", "h0", "--n", "10", "--quantile",
+                   "affine", flag, value, "--out", str(path)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_INPUT
+        assert err.startswith("error: affine quantile shift and scale")
+        assert "Traceback" not in err
+        assert not path.exists()
+
     def test_unknown_model_is_input_error(self, tmp_path):
         rc = main(["simulate", "--model", "cubic", "--n", "10",
                    "--out", str(tmp_path / "x.csv")])

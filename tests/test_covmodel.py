@@ -358,7 +358,7 @@ class TestAnalyticKhat:
     def test_gaussian_copula_unsupported(self):
         model = rb.SyntheticModel(
             copula=rb.GaussianCopula(rb.exchangeable_correlation(2, 0.5)),
-            quantile_funcs=(rb.IdentityQuantile(), rb.IdentityQuantile()),
+            quantile_funcs=(rb.AffineQuantile(), rb.AffineQuantile()),
             theta=(1.0, 1.0, 0.0), noise=rb.NoiseSpec("normal", 1.0))
         with pytest.raises(UnsupportedModelError):
             rb.analytic_covariance(model)
@@ -421,7 +421,7 @@ class TestGramIdentity:
             rb.verify_gram_identity(np.eye(2))
         model = rb.SyntheticModel(
             copula=rb.GaussianCopula(rb.exchangeable_correlation(2, 0.3)),
-            quantile_funcs=(rb.IdentityQuantile(), rb.IdentityQuantile()),
+            quantile_funcs=(rb.AffineQuantile(), rb.AffineQuantile()),
             theta=(1.0, 1.0, 0.0), noise=rb.NoiseSpec("normal", 1.0))
         with pytest.raises(UnsupportedModelError):
             rb.verify_gram_identity(model)

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
 import regbridge as rb
-from regbridge.dataset import check_monotone
 from regbridge.errors import ParseError, SchemaError, ValidationError
 
 
@@ -128,34 +129,48 @@ class TestCSV:
 
 
 # ======================================================================
-# Quantile functions and copulas
+# Margins and copulas
 # ======================================================================
+
+def quad_integral(f, upper: float) -> float:
+    return quad(f, 0.0, upper, epsabs=1e-12, epsrel=1e-12)[0]
+
 
 class TestQuantiles:
     def test_identity_moments(self):
-        q = rb.IdentityQuantile()
+        q = rb.AffineQuantile()
+        u = np.array([0.0, 0.25, 0.7, 1.0])
+        assert np.array_equal(q(u), u)
         assert q.mean() == 0.5
-        assert q.second_moment() == pytest.approx(1 / 3)
+        assert q.second_moment() == 1 / 3
         assert q.partial_integral(0.4) == pytest.approx(0.08)
 
-    def test_affine_moments_match_quadrature(self):
-        q = rb.AffineQuantile(shift=-1.0, scale=2.0)
-        base = rb.QuantileFunction.mean(q), rb.QuantileFunction.second_moment(q)
-        assert q.mean() == pytest.approx(base[0], abs=1e-9)
-        assert q.second_moment() == pytest.approx(base[1], abs=1e-9)
-        assert q.partial_integral(0.7) == pytest.approx(
-            rb.QuantileFunction.partial_integral(q, 0.7), abs=1e-9)
+    @given(shift=st.floats(-5.0, 5.0), scale=st.floats(0.0, 5.0),
+           x=st.floats(0.0, 1.0))
+    def test_affine_moments_match_quadrature(self, shift, scale, x):
+        q = rb.AffineQuantile(shift=shift, scale=scale)
 
-    def test_function_quantile_quadrature(self):
-        q = rb.FunctionQuantile(np.sqrt)
-        assert q.mean() == pytest.approx(2 / 3, abs=1e-8)
-        assert q.second_moment() == pytest.approx(0.5, abs=1e-8)
-        assert q.partial_integral(0.25) == pytest.approx((2 / 3) * 0.125, abs=1e-8)
+        def line(u):
+            return shift + scale * u
+
+        assert q.mean() == pytest.approx(quad_integral(line, 1.0), abs=1e-9)
+        assert q.second_moment() == pytest.approx(
+            quad_integral(lambda u: line(u) ** 2, 1.0), abs=1e-9)
+        assert q.partial_integral(x) == pytest.approx(
+            quad_integral(line, x), abs=1e-9)
+        assert np.array_equal(q.partial_integral(np.array([x, x])),
+                              np.full(2, q.partial_integral(x)))
 
     def test_monotone_check(self):
-        check_monotone(rb.IdentityQuantile())
-        with pytest.raises(ValidationError):
-            check_monotone(rb.FunctionQuantile(lambda u: -u))
+        for shift, scale in ((0.0, -1.0), (0.0, float("nan")),
+                             (float("inf"), 1.0)):
+            with pytest.raises(ValidationError, match="affine quantile"):
+                rb.AffineQuantile(shift=shift, scale=scale)
+
+    def test_model_refuses_other_margins(self):
+        with pytest.raises(ValidationError, match="AffineQuantile"):
+            rb.SyntheticModel(copula=rb.IndependenceCopula(1),
+                              quantile_funcs=(np.sqrt,), theta=(1.0, 0.0))
 
 
 class TestCopulas:
@@ -192,7 +207,7 @@ class TestCopulas:
 class TestSampleH0:
     def test_zero_noise_exact_linear(self):
         model = rb.SyntheticModel(copula=rb.IndependenceCopula(1),
-                                  quantile_funcs=(rb.IdentityQuantile(),),
+                                  quantile_funcs=(rb.AffineQuantile(),),
                                   theta=(2.0, 1.0),
                                   noise=rb.NoiseSpec("normal", 0.0))
         d = rb.sample_h0(model, 100, 5)
@@ -230,12 +245,12 @@ class TestSampleH0:
             rb.SyntheticModel(copula=rb.IndependenceCopula(2), theta=(1.0, 2.0))
 
     def test_tied_ordering_column_is_refused(self):
-        # A step quantile maps the uniforms onto six values, so column 1
-        # ties; column 0 stays continuous and must not be blamed.
+        # A zero-scale margin maps every uniform to 0.5, so column 1 ties;
+        # column 0 stays continuous and must not be blamed.
         model = rb.SyntheticModel(
             copula=rb.IndependenceCopula(2),
-            quantile_funcs=(rb.IdentityQuantile(),
-                            rb.FunctionQuantile(lambda u: np.floor(5 * u) / 5)),
+            quantile_funcs=(rb.AffineQuantile(),
+                            rb.AffineQuantile(shift=0.5, scale=0.0)),
             theta=(1.0, 1.0, 0.0))
         with pytest.raises(ValidationError, match="ordering column 1 has ties"):
             rb.sample_h0(model, 50, 3)
@@ -264,6 +279,14 @@ class TestSampleAlternative:
         a = rb.sample_alternative(m, breach, 500, 77)
         b = rb.sample_h0(m, 500, 77)
         assert np.array_equal(a.response, b.response)
+
+    def test_quadratic_breach_column_must_be_ordering_column(self):
+        # Column d1 is the intercept: squaring it adds a constant that the
+        # fit absorbs, so the draw would be a null labelled as a breach.
+        m = rb.fixtures.single_uniform_model()
+        for column in (m.d1, -1):
+            with pytest.raises(ValidationError, match="breach column"):
+                rb.sample_alternative(m, rb.AddQuadratic(1.0, column), 10, 0)
 
     def test_unknown_breach(self):
         m = rb.fixtures.single_uniform_model()

@@ -466,7 +466,7 @@ class TestNullDistribution:
     def make_null(self):
         samples = np.sort(np.linspace(0.01, 2.0, 200))
         return rb.NullDistribution(samples=samples, replicates=200,
-                                   grid=rb.GridSpec(10), clip_count=0)
+                                   clip_count=0)
 
     def test_quantile_and_mean(self):
         null = self.make_null()
@@ -478,12 +478,12 @@ class TestNullDistribution:
     def test_sample_count_must_match(self):
         with pytest.raises(ValidationError):
             rb.NullDistribution(samples=np.zeros(5), replicates=6,
-                                grid=rb.GridSpec(5), clip_count=0)
+                                clip_count=0)
 
     def test_unsorted_samples_rejected(self):
         with pytest.raises(ValidationError, match="sorted"):
             rb.NullDistribution(samples=np.array([1.0, 3.0, 2.0]), replicates=3,
-                                grid=rb.GridSpec(5), clip_count=0)
+                                clip_count=0)
 
     def test_quantile_range_checked(self):
         null = self.make_null()
@@ -510,7 +510,7 @@ def sorted_samples(draw, parity):
 
 def as_null(samples):
     return rb.NullDistribution(samples=samples, replicates=samples.size,
-                               grid=rb.GridSpec(10), clip_count=0)
+                               clip_count=0)
 
 
 UNIT = st.floats(0.0, 1.0)
@@ -565,7 +565,7 @@ class TestPValue:
     def make_null(self):
         samples = np.sort(np.arange(1.0, 200.0 + 1.0))
         return rb.NullDistribution(samples=samples, replicates=200,
-                                   grid=rb.GridSpec(10), clip_count=0)
+                                   clip_count=0)
 
     def test_extremes(self):
         null = self.make_null()
