@@ -14,7 +14,7 @@ from .covmodel import CovarianceModel, empirical_covariance
 from .dataset import Dataset
 from .errors import ValidationError
 from .limitsim import (GridSpec, NullDistribution, build_grid_covariance,
-                       factor_psd, p_value, simulate_null, CLIP_FLOOR)
+                       factor_psd, p_value, simulate_null)
 from .ols import FitResult, fit_lse
 from .ordering import all_orderings
 
@@ -42,8 +42,7 @@ class AdequacyResult:
 
 
 def run_adequacy_test(data: Dataset, grid_m: int = 100, replicates: int = 10000,
-                      seed=0, level: float = 0.05,
-                      clip_floor: float = CLIP_FLOOR) -> AdequacyResult:
+                      seed=0, level: float = 0.05) -> AdequacyResult:
     """Run the full test on a dataset.
 
     Fits by least squares, builds one residual bridge per ordering column,
@@ -59,7 +58,7 @@ def run_adequacy_test(data: Dataset, grid_m: int = 100, replicates: int = 10000,
     stat = omega_sq(bridges)
     cov = empirical_covariance(data, views, gram=fit.gram)
     grid = GridSpec(grid_m)
-    spectrum = factor_psd(build_grid_covariance(cov, grid), clip_floor)
+    spectrum = factor_psd(build_grid_covariance(cov, grid))
     null = simulate_null(spectrum, replicates, grid, seed)
     return AdequacyResult(fit=fit, bridges=bridges, statistic=stat,
                           covariance=cov, null=null,

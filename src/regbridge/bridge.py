@@ -81,8 +81,6 @@ def residual_bridge(view: OrderedView, sigma2_hat: float) -> BridgeProcess:
     Raises :class:`DegenerateModelError` when sigma2_hat <= 0 (a perfect
     fit leaves nothing to normalize by).
     """
-    if view.sorted_residuals is None:
-        raise ValidationError("view carries no residuals; fit the model first")
     if not sigma2_hat > 0.0:
         raise DegenerateModelError(
             f"sigma2_hat={sigma2_hat:.3e}: residual variance is zero, "

@@ -55,9 +55,8 @@ def canonical_json(obj) -> str:
 
 
 def _load_report_schema() -> dict:
-    text = resources.files("regbridge").joinpath(
-        "data/test_report.schema.json").read_text()
-    return json.loads(text)
+    return json.loads(resources.files("regbridge").joinpath(
+        "data/test_report.schema.json").read_text())
 
 
 _SCHEMA_KEYWORDS = frozenset({
@@ -147,13 +146,9 @@ class TestReport:
     def to_json_dict(self) -> dict:
         data, res = self.data, self.result
         names = data.regressor_names
-        bridges = []
-        for b in res.bridges:
-            bridges.append({
-                "column": names[b.column],
-                "omega_sq_share": omega_sq([b]),
-                "max_abs": float(np.max(np.abs(b.values))),
-            })
+        bridges = [{"column": names[b.column], "omega_sq_share": omega_sq([b]),
+                    "max_abs": float(np.max(np.abs(b.values)))}
+                   for b in res.bridges]
         intercept = (None if data.intercept_column is None
                      else names[data.intercept_column])
         return {
@@ -180,10 +175,7 @@ class TestReport:
         """Canonical JSON of the report, checked against the shipped schema.
 
         Every call checks the payload against the shipped
-        `data/test_report.schema.json` with `check_schema`, which
-        interprets the keyword subset that schema uses: `type`, `required`,
-        `properties`, `additionalProperties: false`, `items`, `minItems`,
-        `minimum`, `exclusiveMinimum` and `maximum`.  A failure raises
+        `data/test_report.schema.json` with `check_schema`.  A failure raises
         ValueError, which is a program bug rather than an input error, so
         it escapes `main` instead of mapping to an exit code.
         """
@@ -237,7 +229,9 @@ def cmd_test(args) -> int:
 
 def _het_scale(block: np.ndarray, coef: float, column: int) -> np.ndarray:
     """Noise scale sqrt(1 + coef * x^2) along the chosen ordering column."""
-    return np.sqrt(1.0 + coef * np.asarray(block)[:, column] ** 2)
+    # nan where 1 + coef * x^2 < 0: `sample_alternative` reports it, not numpy
+    with np.errstate(invalid="ignore"):
+        return np.sqrt(1.0 + coef * np.asarray(block)[:, column] ** 2)
 
 
 def _build_model(args) -> SyntheticModel:
@@ -276,12 +270,17 @@ def _build_model(args) -> SyntheticModel:
 
 
 def cmd_simulate(args) -> int:
-    model = _build_model(args)
-    if (args.model in ("add-quadratic", "heteroscedastic")
-            and not 0 <= args.breach_column < model.d1):
+    if not (math.isfinite(args.noise_var) and args.noise_var >= 0):
         raise ValidationError(
-            f"--breach-column must lie in 0..{model.d1 - 1}, "
-            f"got {args.breach_column}")
+            f"--noise-var must be finite and >= 0, got {args.noise_var}")
+    model = _build_model(args)
+    if args.model in ("add-quadratic", "heteroscedastic"):
+        if not 0 <= args.breach_column < model.d1:
+            raise ValidationError(
+                f"--breach-column must lie in 0..{model.d1 - 1}, "
+                f"got {args.breach_column}")
+        if not math.isfinite(args.coef):
+            raise ValidationError(f"--coef must be finite, got {args.coef}")
     if args.model == "h0":
         data = sample_h0(model, args.n, args.seed)
     elif args.model == "add-quadratic":

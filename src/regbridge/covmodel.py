@@ -30,6 +30,7 @@ from .bridge import floor_index
 from .dataset import (AffineQuantile, Dataset, IndependenceCopula,
                       SyntheticModel)
 from .errors import SingularDesignError, UnsupportedModelError, ValidationError
+from .ols import COND_THRESHOLD
 from .ordering import OrderedView
 
 __all__ = [
@@ -40,13 +41,11 @@ __all__ = [
     "IndependenceFixture",
     "CovarianceModel",
     "estimate_lorentz",
-    "estimate_gram",
     "empirical_covariance",
     "analytic_covariance",
     "verify_gram_identity",
 ]
 
-_GRAM_COND_LIMIT = 1e12
 _QUAD_TOL = 1e-11
 
 
@@ -307,12 +306,6 @@ def estimate_lorentz(view: OrderedView) -> GridLorentz:
     return GridLorentz(gv)
 
 
-def estimate_gram(data: Dataset) -> np.ndarray:
-    """Normalized Gram matrix X'X / n."""
-    X = data.regressors
-    return (X.T @ X) / data.n
-
-
 def _empirical_joint(data: Dataset,
                      views: tuple[OrderedView, ...]) -> EmpiricalJointCDF:
     """Pairwise cdf estimate; each view's rows are its column already sorted."""
@@ -323,10 +316,10 @@ def _empirical_joint(data: Dataset,
                              for v in views))
 
 
-def _spd_inverse(G: np.ndarray, cond_limit: float = _GRAM_COND_LIMIT) -> np.ndarray:
-    """Inverse of a symmetric PSD matrix via its eigendecomposition."""
+def _spd_inverse(G: np.ndarray) -> np.ndarray:
+    """Inverse of a symmetric PSD matrix; singular past `COND_THRESHOLD`."""
     w, V = np.linalg.eigh(0.5 * (G + G.T))
-    if w[-1] <= 0.0 or w[0] <= 0.0 or w[-1] / w[0] > cond_limit:
+    if w[-1] <= 0.0 or w[0] <= 0.0 or w[-1] / w[0] > COND_THRESHOLD:
         raise SingularDesignError(
             f"Gram matrix is numerically singular (eigenvalue range "
             f"[{w[0]:.3e}, {w[-1]:.3e}])")
@@ -334,11 +327,11 @@ def _spd_inverse(G: np.ndarray, cond_limit: float = _GRAM_COND_LIMIT) -> np.ndar
 
 
 def empirical_covariance(data: Dataset, views: tuple[OrderedView, ...],
-                         gram: np.ndarray | None = None) -> CovarianceModel:
-    """Covariance model with every ingredient estimated from the data."""
+                         gram: np.ndarray) -> CovarianceModel:
+    """Covariance model estimated from the data; `gram` is ``fit.gram``."""
     if tuple(v.column for v in views) != data.order_columns:
         raise ValidationError("views must cover order_columns in order")
-    G = estimate_gram(data) if gram is None else np.asarray(gram, dtype=float)
+    G = np.asarray(gram, dtype=float)
     return CovarianceModel(
         columns=data.order_columns,
         lorentz=tuple(estimate_lorentz(v) for v in views),

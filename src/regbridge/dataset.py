@@ -32,7 +32,6 @@ __all__ = [
     "load_csv",
     "write_csv",
     "AffineQuantile",
-    "Copula",
     "IndependenceCopula",
     "GaussianCopula",
     "exchangeable_correlation",
@@ -148,23 +147,20 @@ class ColumnSchema:
     """Column-role mapping used by :func:`load_csv`.
 
     `order` names the regressors the test orders by, `response` names the
-    response column, `intercept` optionally names an all-ones column, and
-    `extra` names regressors carried in the fit but never ordered by.
+    response column, and `intercept` optionally names an all-ones column.
+    The design holds exactly the `order` and `intercept` columns.
     """
 
     order: tuple[str, ...]
     response: str
     intercept: str | None = None
-    extra: tuple[str, ...] = ()
 
     def __post_init__(self):
         order = tuple(str(s) for s in self.order)
-        extra = tuple(str(s) for s in self.extra)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "extra", extra)
         if not order:
             raise ValidationError("schema needs at least one ordering column")
-        roles = list(order) + list(extra) + [self.response]
+        roles = list(order) + [self.response]
         if self.intercept is not None:
             roles.append(self.intercept)
         if len(set(roles)) != len(roles):
@@ -190,7 +186,7 @@ def load_csv(path, schema: ColumnSchema) -> Dataset:
         if dupes:
             raise SchemaError(f"{path}: duplicated header names {sorted(dupes)}")
 
-        wanted = list(schema.order) + list(schema.extra)
+        wanted = list(schema.order)
         if schema.intercept is not None:
             wanted.append(schema.intercept)
         missing = [c for c in wanted + [schema.response] if c not in header]
@@ -290,19 +286,8 @@ class AffineQuantile:
 # Copulas
 # ======================================================================
 
-class Copula:
-    """Sampler for a distribution on the unit cube with uniform margins."""
-
-    @property
-    def dim(self) -> int:
-        raise NotImplementedError
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class IndependenceCopula(Copula):
+class IndependenceCopula:
     """Independent uniform coordinates."""
 
     d: int
@@ -320,7 +305,7 @@ class IndependenceCopula(Copula):
 
 
 @dataclass(frozen=True, eq=False)
-class GaussianCopula(Copula):
+class GaussianCopula:
     """Gaussian copula: U = Phi(Z) with Z ~ N(0, correlation)."""
 
     correlation: np.ndarray
@@ -377,8 +362,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("normal", "uniform"):
             raise ValidationError(f"unknown noise kind {self.kind!r}")
-        if self.variance < 0:
-            raise ValidationError("noise variance must be >= 0")
+        if not (math.isfinite(self.variance) and self.variance >= 0):
+            raise ValidationError("noise variance must be finite and >= 0")
 
     def sample_unit(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n unit-variance centered noise values."""
@@ -405,7 +390,7 @@ class SyntheticModel:
     return per-row conditional means and variances of the response.
     """
 
-    copula: Copula
+    copula: IndependenceCopula | GaussianCopula
     quantile_funcs: tuple[AffineQuantile, ...] = ()
     theta: tuple[float, ...] | None = None
     noise: NoiseSpec = NoiseSpec()

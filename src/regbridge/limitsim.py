@@ -76,13 +76,12 @@ class GridSpec:
 class NullSpectrum:
     """Clipped eigenvalues of a grid kernel matrix, ascending.
 
-    `clip_count` is the number of eigenvalues that fell below `clip_floor`
+    `clip_count` is the number of eigenvalues that fell below `CLIP_FLOOR`
     and were replaced by zero in `weights`.
     """
 
     weights: np.ndarray
     clip_count: int
-    clip_floor: float
 
     @property
     def dim(self) -> int:
@@ -130,9 +129,6 @@ class NullDistribution:
         out = np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
         return float(out) if q.ndim == 0 else out
 
-    def mean(self) -> float:
-        return float(self.samples.mean())
-
 
 def build_grid_covariance(cov: CovarianceModel, grid: GridSpec) -> np.ndarray:
     """Kernel matrix on the product of slots and grid points.
@@ -153,15 +149,15 @@ def build_grid_covariance(cov: CovarianceModel, grid: GridSpec) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def factor_psd(matrix: np.ndarray, clip_floor: float = CLIP_FLOOR) -> NullSpectrum:
-    """Eigenvalues of a symmetric matrix with sub-floor ones clipped to zero.
+def factor_psd(matrix: np.ndarray) -> NullSpectrum:
+    """Eigenvalues of a symmetric matrix, those below `CLIP_FLOOR` set to zero.
 
     Clipping serves both callers: analytic kernels carry an exact zero
     eigenvalue at the pinned endpoint (plus roundoff negatives), and
     kernels estimated from data are mildly indefinite at small n.  Both
     kinds are replaced by zero and counted in ``clip_count``.  For input
     that is positive semidefinite up to roundoff, V diag(weights) V' with
-    V the eigenvectors satisfies max|V diag(weights) V' - M| <= clip_floor
+    V the eigenvectors satisfies max|V diag(weights) V' - M| <= CLIP_FLOOR
     + 1e-9 * max|M|.
     """
     A = np.asarray(matrix, dtype=float)
@@ -171,15 +167,12 @@ def factor_psd(matrix: np.ndarray, clip_floor: float = CLIP_FLOOR) -> NullSpectr
     skew = A - A.T
     if float(np.max(np.abs(skew))) > 1e-12 * max(scale, 1.0):
         raise ValidationError("matrix must be symmetric")
-    if clip_floor < 0:
-        raise ValidationError("clip_floor must be >= 0")
     # On exactly symmetric input, such as `build_grid_covariance` output,
     # 0.5 * (A + A') is A bit for bit, so it need not be formed.
     w = np.linalg.eigvalsh(0.5 * (A + A.T) if skew.any() else A)
-    below = w < clip_floor
+    below = w < CLIP_FLOOR
     return NullSpectrum(weights=np.where(below, 0.0, w),
-                        clip_count=int(np.count_nonzero(below)),
-                        clip_floor=float(clip_floor))
+                        clip_count=int(np.count_nonzero(below)))
 
 
 def _split_weights(weights: np.ndarray):

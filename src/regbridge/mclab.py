@@ -39,7 +39,6 @@ from .ordering import all_orderings
 from .rng import as_seed_key
 
 __all__ = [
-    "EmpiricalField",
     "empirical_field",
     "concomitant_sum_process",
     "ErrorCell",
@@ -58,51 +57,27 @@ _NQUAD_OPTS = {"epsabs": 1e-10, "epsrel": 1e-10}
 # Raw partial-sum processes
 # ======================================================================
 
-@dataclass(frozen=True, eq=False)
-class EmpiricalField:
-    """Partial-sum field Q(u) = sum of Y over rows with X <= u coordinatewise."""
-
-    X: np.ndarray
-    Y: np.ndarray
-
-    def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        Y = np.asarray(self.Y, dtype=float)
-        if X.ndim != 2 or Y.shape != (X.shape[0],):
-            raise ValidationError("need X of shape (n, d) and Y of shape (n,)")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "Y", Y)
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.X.shape[1]
-
-    def raw(self, u) -> float:
-        u = np.asarray(u, dtype=float)
-        mask = np.all(self.X <= u, axis=1)
-        return float(self.Y[mask].sum())
-
-
 def empirical_field(X, Y, queries, centers) -> np.ndarray:
     """Normalized field (Q(u) - n * center(u)) / sqrt(n) at many queries.
 
+    Q(u) is the partial sum of Y over the rows with X <= u coordinatewise.
     `queries` is (q, d); `centers` supplies the centering value per query
     (the integral of the conditional mean over the query's orthant, under
     whatever law the caller is studying).
     """
-    field = EmpiricalField(X, Y)
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if X.ndim != 2 or Y.shape != (X.shape[0],):
+        raise ValidationError("need X of shape (n, d) and Y of shape (n,)")
+    n = X.shape[0]
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     centers = np.broadcast_to(np.asarray(centers, dtype=float), (queries.shape[0],))
-    if queries.shape[1] != field.d:
+    if queries.shape[1] != X.shape[1]:
         raise ValidationError("query dimension does not match X")
     # (q, n) orthant indicators resolved in one pass
-    mask = np.all(field.X[None, :, :] <= queries[:, None, :], axis=2)
-    raw = mask @ field.Y
-    return (raw - field.n * centers) / math.sqrt(field.n)
+    mask = np.all(X[None, :, :] <= queries[:, None, :], axis=2)
+    raw = mask @ Y
+    return (raw - n * centers) / math.sqrt(n)
 
 
 def concomitant_sum_process(X, Y, k: int, grid) -> np.ndarray:

@@ -51,11 +51,11 @@ class FitResult:
         return self.theta_hat.shape[0]
 
 
-def fit_lse(data: Dataset, cond_threshold: float = COND_THRESHOLD) -> FitResult:
+def fit_lse(data: Dataset) -> FitResult:
     """Fit the linear model by least squares.
 
     Raises :class:`SingularDesignError` when the Gram condition estimate
-    exceeds `cond_threshold` and :class:`ValidationError` when n <= p.
+    reaches `COND_THRESHOLD` and :class:`ValidationError` when n <= p.
     """
     n, p = data.n, data.p
     if n <= p:
@@ -67,9 +67,9 @@ def fit_lse(data: Dataset, cond_threshold: float = COND_THRESHOLD) -> FitResult:
         condition = np.inf
     else:
         condition = float((s[0] / s[-1]) ** 2)
-    if not condition < cond_threshold:
+    if not condition < COND_THRESHOLD:
         raise SingularDesignError(
-            f"Gram condition estimate {condition:.3e} exceeds {cond_threshold:.1e}")
+            f"Gram condition estimate {condition:.3e} exceeds {COND_THRESHOLD:.1e}")
     theta = Vt.T @ ((U.T @ y) / s)
     residuals = y - X @ theta
     rss = float(residuals @ residuals)

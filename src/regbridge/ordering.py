@@ -20,40 +20,38 @@ __all__ = ["OrderedView", "order_by", "all_orderings"]
 
 @dataclass(frozen=True)
 class OrderedView:
-    """Dataset rows sorted by one ordering column.
+    """Dataset rows and fit residuals sorted by one ordering column.
 
-    `sorted_residuals` is None when the view was built without a fit.
+    `perm` is the stable sort permutation of the column; the two sorted
+    arrays are read-only and share no memory with the dataset or the fit.
     """
 
     column: int
     perm: np.ndarray
     sorted_regressors: np.ndarray
-    sorted_residuals: np.ndarray | None
+    sorted_residuals: np.ndarray
 
     @property
     def n(self) -> int:
         return self.perm.shape[0]
 
 
-def order_by(data: Dataset, fit: FitResult | None, j: int) -> OrderedView:
-    """Sort the dataset (and residuals, if a fit is given) by column j."""
+def order_by(data: Dataset, fit: FitResult, j: int) -> OrderedView:
+    """Sort the dataset rows and the fit's residuals by column j."""
     if j not in data.order_columns:
         raise ValidationError(f"column {j} is not an ordering column")
-    if fit is not None and fit.n != data.n:
+    if fit.n != data.n:
         raise ValidationError("fit and dataset disagree on n")
     perm = np.argsort(data.regressors[:, j], kind="stable")
-    perm.setflags(write=False)
-    resid = None
-    if fit is not None:
-        resid = fit.residuals[perm].copy()
-        resid.setflags(write=False)
-    sreg = data.regressors[perm].copy()
-    sreg.setflags(write=False)
+    # Fancy indexing returns fresh arrays: nothing to copy, only to freeze.
+    resid, sreg = fit.residuals[perm], data.regressors[perm]
+    for a in (perm, resid, sreg):
+        a.setflags(write=False)
     return OrderedView(column=j, perm=perm, sorted_regressors=sreg,
                        sorted_residuals=resid)
 
 
-def all_orderings(data: Dataset, fit: FitResult | None) -> tuple[OrderedView, ...]:
+def all_orderings(data: Dataset, fit: FitResult) -> tuple[OrderedView, ...]:
     """One ordered view per ordering column, in `order_columns` order."""
     if not data.order_columns:
         raise ValidationError("dataset declares no ordering columns")

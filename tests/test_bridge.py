@@ -83,12 +83,6 @@ class TestBridgeProcess:
         with pytest.raises(DegenerateModelError):
             rb.residual_bridge(view, 0.0)
 
-    def test_requires_residuals(self):
-        d = rb.sample_h0(rb.fixtures.single_uniform_model(), 20, 5)
-        view = rb.order_by(d, None, 0)
-        with pytest.raises(ValidationError):
-            rb.residual_bridge(view, 1.0)
-
 
 class TestEvaluate:
     def test_matches_interp_oracle(self):
@@ -184,11 +178,10 @@ class TestEmpiricalField:
     def test_enumeration_oracle(self):
         X = np.array([[0.2, 0.9], [0.4, 0.3], [0.8, 0.1], [0.45, 0.45]])
         Y = np.array([1.0, 2.0, 4.0, 8.0])
-        f = rb.EmpiricalField(X, Y)
         # u = (0.5, 0.5) dominates rows 1 and 3 exactly
-        assert f.raw((0.5, 0.5)) == 10.0
-        assert f.raw((1.0, 1.0)) == 15.0
-        assert f.raw((0.0, 1.0)) == 0.0
+        for u, raw in (((0.5, 0.5), 10.0), ((1.0, 1.0), 15.0),
+                       ((0.0, 1.0), 0.0)):
+            assert rb.empirical_field(X, Y, [u], 0.0)[0] == raw / math.sqrt(4)
 
     def test_normalized_values(self):
         X = np.array([[0.2, 0.9], [0.4, 0.3], [0.8, 0.1], [0.45, 0.45]])
@@ -238,10 +231,9 @@ class TestConcomitantSumProcess:
         rng = np.random.default_rng(24)
         X = rng.random((30, 2))
         Y = rng.standard_normal(30)
-        f = rb.EmpiricalField(X, Y)
         srt = np.sort(X[:, 0])
         for t in (0.1, 0.5, 0.9):
             k = int(math.floor(30 * t + 1e-9))
             corner = np.array([srt[k - 1], 1.0])
             assert rb.concomitant_sum_process(X, Y, 0, [t])[0] == pytest.approx(
-                f.raw(corner) / math.sqrt(30), abs=1e-12)
+                rb.empirical_field(X, Y, [corner], 0.0)[0], abs=1e-12)

@@ -16,6 +16,10 @@ from regbridge import cli
 from regbridge.cli import (EXIT_INPUT, EXIT_OK, EXIT_SINGULAR, EXIT_TOLERANCE,
                            canonical_json, check_schema, main)
 
+# A numpy RuntimeWarning raised inside a command would reach a CLI user's
+# terminal; here it fails the test instead.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def run_simulate(tmp_path, name="data.csv", n=120, seed=3, extra=()):
     path = tmp_path / name
@@ -268,6 +272,34 @@ class TestSimulateCommand:
         assert err.startswith("error: affine quantile shift and scale")
         assert "Traceback" not in err
         assert not path.exists()
+
+    @pytest.mark.parametrize("args", [
+        ("--noise-var", "nan"), ("--noise-var", "inf"), ("--noise-var", "-1"),
+        *[("--model", model, "--coef", value)
+          for model in ("add-quadratic", "heteroscedastic")
+          for value in ("nan", "inf")]], ids=" ".join)
+    def test_bad_noise_variance_or_coefficient_is_input_error(
+            self, tmp_path, capsys, args):
+        path = tmp_path / "x.csv"
+        rc = main(["simulate", "--n", "50", "--out", str(path), *args])
+        err = capsys.readouterr().err
+        flag = "--coef" if "--coef" in args else "--noise-var"
+        assert rc == EXIT_INPUT
+        assert err.startswith(f"error: {flag} must be finite")
+        assert "Traceback" not in err
+        assert not path.exists()
+
+    def test_negative_heteroscedastic_coefficient(self, tmp_path, capsys):
+        # 1 - 5 x^2 turns negative on [0, 1]: an input error, reported once
+        # and without a numpy warning; 1 - 0.5 x^2 stays positive.
+        bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+        for coef, path in (("-5", bad), ("-0.5", good)):
+            rc = main(["simulate", "--n", "50", "--model", "heteroscedastic",
+                       "--coef", coef, "--out", str(path)])
+            assert rc == (EXIT_INPUT if path is bad else EXIT_OK)
+        err = capsys.readouterr().err
+        assert err == "error: noise scale map must be positive and finite\n"
+        assert not bad.exists() and good.exists()
 
     def test_unknown_model_is_input_error(self, tmp_path):
         rc = main(["simulate", "--model", "cubic", "--n", "10",

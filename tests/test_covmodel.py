@@ -25,6 +25,20 @@ def single_column_dataset(xs, order=(0,)):
                       order_columns=order, intercept_column=1)
 
 
+def exact_fit(data, theta):
+    """Fit whose coefficients `theta` reproduce the response exactly.
+
+    Written out for designs `fit_lse` refuses (n <= p, collinear or tied
+    columns) but the kernel code accepts; the kernel never reads residuals.
+    """
+    X = data.regressors
+    theta = np.asarray(theta, dtype=float)
+    resid = data.response - X @ theta
+    assert not resid.any()
+    return rb.FitResult(theta_hat=theta, residuals=resid, sigma2_hat=0.0,
+                        gram=X.T @ X / data.n, condition=np.inf)
+
+
 def khat_single_uniform(s, t):
     """min(s, t) - L(s) Ginv L(t)' with L(x) = (x^2 / 2, x), by hand."""
     ls = np.array([s * s / 2.0, s])
@@ -39,7 +53,7 @@ def khat_single_uniform(s, t):
 class TestGridLorentz:
     def test_hand_example_nodes(self):
         d = single_column_dataset([0.4, 0.2, 0.9])
-        view = rb.order_by(d, None, 0)
+        view = rb.order_by(d, rb.fit_lse(d), 0)
         lz = rb.estimate_lorentz(view)
         assert lz.n == 3 and lz.p == 2
         expected = np.array([[0.0, 0.0],
@@ -51,7 +65,7 @@ class TestGridLorentz:
 
     def test_interpolates_between_nodes(self):
         d = single_column_dataset([0.4, 0.2, 0.9])
-        lz = rb.estimate_lorentz(rb.order_by(d, None, 0))
+        lz = rb.estimate_lorentz(rb.order_by(d, rb.fit_lse(d), 0))
         mid = lz.values(0.5)[0]
         assert mid == pytest.approx([(0.2 / 3 + 0.2) / 2, 0.5], abs=1e-15)
 
@@ -72,7 +86,7 @@ class TestGridLorentz:
         # Sorted-uniform running mean approaches (t^2 / 2, t) at rate
         # O(1 / sqrt(n)); 0.02 leaves ample room at n = 10000.
         d = rb.sample_h0(rb.fixtures.single_uniform_model(), 10_000, 11)
-        lz = rb.estimate_lorentz(rb.order_by(d, None, 0))
+        lz = rb.estimate_lorentz(rb.order_by(d, rb.fit_lse(d), 0))
         ts = np.linspace(0.0, 1.0, 21)
         target = np.column_stack([ts ** 2 / 2.0, ts])
         assert np.max(np.abs(lz.values(ts) - target)) < 0.02
@@ -215,8 +229,9 @@ class TestEmpiricalJointCDF:
 
     def test_converges_to_product_under_independence(self):
         d = rb.sample_h0(rb.fixtures.two_uniform_model(), 10_000, 12)
+        fit = rb.fit_lse(d)
         joint = rb.empirical_covariance(
-            d, rb.all_orderings(d, rb.fit_lse(d))).joint
+            d, rb.all_orderings(d, fit), gram=fit.gram).joint
         levels = np.linspace(0.1, 1.0, 10)
         grid = np.empty((10, 10))
         for a, s in enumerate(levels):
@@ -277,9 +292,9 @@ def ordering_covariances(draw):
     reg = np.column_stack(cols + [np.ones(n)])
     data = rb.Dataset(regressors=reg, response=np.zeros(n),
                       order_columns=tuple(range(d)), intercept_column=d)
-    gram = rb.estimate_gram(data) + np.eye(d + 1)
-    return data, rb.empirical_covariance(data, rb.all_orderings(data, None),
-                                         gram=gram)
+    fit = exact_fit(data, np.zeros(d + 1))
+    return data, rb.empirical_covariance(data, rb.all_orderings(data, fit),
+                                         gram=fit.gram + np.eye(d + 1))
 
 
 def khat_grid_twice(cov, i, j, svals, tvals):
@@ -382,28 +397,24 @@ class TestEmpiricalCovariance:
             0, 0, levels, levels)
         assert np.max(np.abs(diff)) < 0.02
 
-    def test_gram_default_is_estimated(self):
-        d = rb.sample_h0(rb.fixtures.single_uniform_model(), 200, 15)
-        views = rb.all_orderings(d, rb.fit_lse(d))
-        cov = rb.empirical_covariance(d, views)
-        assert np.allclose(cov.gram, rb.estimate_gram(d), atol=1e-15)
-        assert np.allclose(cov.gram @ cov.gram_inv, np.eye(2), atol=1e-10)
-
     def test_views_must_cover_order_columns(self):
         d = rb.sample_h0(rb.fixtures.two_uniform_model(), 100, 16)
         fit = rb.fit_lse(d)
         views = rb.all_orderings(d, fit)
         with pytest.raises(ValidationError):
-            rb.empirical_covariance(d, views[::-1])
+            rb.empirical_covariance(d, views[::-1], gram=fit.gram)
 
     def test_collinear_design_is_singular(self):
         x = np.linspace(0.05, 0.95, 40)
         reg = np.column_stack([x, 2.0 * x, np.ones_like(x)])
         d = rb.Dataset(regressors=reg, response=x.copy(), order_columns=(0, 1),
                        intercept_column=2)
-        views = tuple(rb.order_by(d, None, j) for j in (0, 1))
         with pytest.raises(SingularDesignError):
-            rb.empirical_covariance(d, views)
+            rb.fit_lse(d)
+        fit = exact_fit(d, [1.0, 0.0, 0.0])
+        views = tuple(rb.order_by(d, fit, j) for j in (0, 1))
+        with pytest.raises(SingularDesignError):
+            rb.empirical_covariance(d, views, gram=reg.T @ reg / 40)
 
 
 # ======================================================================

@@ -335,6 +335,11 @@ class TestNoiseSpec:
         with pytest.raises(ValidationError):
             rb.NoiseSpec("normal", -1.0)
 
+    @pytest.mark.parametrize("variance", [float("nan"), float("inf")])
+    def test_non_finite_variance_is_refused(self, variance):
+        with pytest.raises(ValidationError, match="finite"):
+            rb.NoiseSpec(variance=variance)
+
     def test_unit_variance_draws(self):
         for kind in ("normal", "uniform"):
             draws = rb.NoiseSpec(kind, 1.0).sample(rb.philox_stream(6), 200000)

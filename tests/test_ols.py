@@ -63,7 +63,7 @@ class TestFitLSE:
     def test_known_gram_example(self):
         d = rb.Dataset(np.array([[0.0, 1.0], [1.0, 1.0], [0.5, 1.0]]),
                        np.array([0.0, 1.0, 0.5]), (0,), 1)
-        g = rb.estimate_gram(d)
+        g = rb.fit_lse(d).gram
         assert np.allclose(g, np.array([[1.25 / 3, 1.5 / 3], [1.5 / 3, 1.0]]))
 
     def test_singular_design_raises(self):
