@@ -2,8 +2,8 @@
 
 The test orders the observations by each designated regressor, cumulates
 the studentized residuals into bridge processes, integrates their squares
-into one omega-squared statistic, and calibrates it against a simulated
-draw of the limiting Gaussian functional whose covariance kernel is
+into one omega-squared statistic, and calibrates it against the exact
+law of the limiting Gaussian functional whose covariance kernel is
 estimated from the same data.  A built-in Monte Carlo lab checks the
 distributional claims behind the calibration at desk scale.
 

@@ -38,7 +38,7 @@ class AdequacyResult:
         return self.p_value <= self.level
 
     def null_quantiles(self, qs=(0.9, 0.95, 0.99)) -> dict[str, float]:
-        return {str(q): float(self.null.quantile(q)) for q in qs}
+        return {str(q): float(v) for q, v in zip(qs, self.null.quantile(qs))}
 
 
 def run_adequacy_test(data: Dataset, grid_m: int = 100, replicates: int = 10000,
@@ -47,8 +47,10 @@ def run_adequacy_test(data: Dataset, grid_m: int = 100, replicates: int = 10000,
 
     Fits by least squares, builds one residual bridge per ordering column,
     integrates the squared bridges exactly, estimates the limit kernel
-    from the same data, and calibrates the statistic against `replicates`
-    simulated draws of the limiting statistic on an m-point grid.
+    from the same data, and calibrates the statistic against the exact
+    law of the limiting statistic on an m-point grid.  Nothing is drawn:
+    `replicates` and `seed` size and seed only the Monte Carlo sample
+    ``result.null.samples``, drawn on first read.
     """
     if not 0.0 < level <= 1.0:
         raise ValidationError(f"level must lie in (0, 1], got {level}")

@@ -7,7 +7,8 @@ Three subcommands:
 * ``verify``    run a shipped Monte Carlo verification experiment
 
 Exit codes: 0 for a completed run (the test's accept/reject decision never
-drives the exit code), 1 for I/O or validation problems, 3 for a singular
+drives the exit code), 1 for I/O or validation problems (a `test` grid or
+null sample too large for memory among them), 3 for a singular
 design or a degenerate fit, 4 for a verification experiment that ran but
 missed its tolerance.
 """
@@ -200,9 +201,22 @@ def cmd_test(args) -> int:
     schema = ColumnSchema(order=_parse_columns(args.order_columns),
                           response=args.response, intercept=intercept)
     data = load_csv(args.input, schema)
-    result = run_adequacy_test(data, grid_m=args.grid,
-                               replicates=args.replicates,
-                               seed=args.seed, level=args.level)
+    try:
+        result = run_adequacy_test(data, grid_m=args.grid,
+                                   replicates=args.replicates,
+                                   seed=args.seed, level=args.level)
+    except MemoryError:
+        dim = len(schema.order) * args.grid
+        raise ValidationError(
+            f"not enough memory: at --grid {args.grid} the kernel matrix "
+            f"alone takes {dim * dim * 8 / 1e9:.3g} GB") from None
+    if args.emit_null:
+        try:
+            result.null.samples  # drawn before any output is written
+        except MemoryError:
+            raise ValidationError(
+                f"not enough memory: --replicates {args.replicates} null "
+                f"samples take {args.replicates * 8 / 1e9:.3g} GB") from None
     report = TestReport(data=data, result=result, grid_m=args.grid,
                         replicates=args.replicates, seed=args.seed)
     text = report.validated_json()
@@ -485,10 +499,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--intercept", default="none",
                         help="all-ones column name, or 'none' (default)")
     p_test.add_argument("--grid", type=int, default=100,
-                        help="grid size M for the null simulation (default 100)")
+                        help="grid size M of the limit law (default 100)")
     p_test.add_argument("--replicates", type=int, default=10000,
-                        help="null-simulation replicates (default 10000)")
-    p_test.add_argument("--seed", type=int, default=0, help="simulation seed")
+                        help="size of the --emit-null sample (default 10000)")
+    p_test.add_argument("--seed", type=int, default=0,
+                        help="seed of the --emit-null sample")
     p_test.add_argument("--level", type=float, default=0.05,
                         help="rejection level for the report (default 0.05)")
     p_test.add_argument("--out", default=None,
@@ -496,7 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--emit-bridges", default=None, metavar="DIR",
                         help="write per-column bridge node CSVs to DIR")
     p_test.add_argument("--emit-null", default=None, metavar="PATH",
-                        help="write the sorted null samples as CSV")
+                        help="write a sorted Monte Carlo sample of the null "
+                             "law as CSV")
     p_test.set_defaults(func=cmd_test)
 
     p_sim = sub.add_parser("simulate", help="write a synthetic dataset as CSV")

@@ -123,7 +123,8 @@ def pinned_bridge_covariance() -> CovarianceModel:
     This is the intercept-only design ordered by one latent coordinate:
     the running-mean curve is L(t) = (t), the Gram matrix is (1), so the
     kernel reduces to the classical pinned-bridge covariance.  Used to
-    check the simulator against known mean and quantile values.
+    check the null law and its sampler against known mean and quantile
+    values.
     """
     fixture = intercept_only_fixture()
     return CovarianceModel(columns=(0,),

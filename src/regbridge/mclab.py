@@ -390,9 +390,6 @@ class SizePowerResult:
     def rates(self) -> tuple[float, ...]:
         return tuple(r / self.replicates for r in self.rejections)
 
-    def rate(self, n: int) -> float:
-        return self.rates[self.n_values.index(n)]
-
     def comparable(self) -> dict:
         return {
             "experiment": self.mode,
@@ -429,10 +426,11 @@ def size_power_study(model: SyntheticModel, breach, n_values, level: float,
 
     `breach` None measures size under the null; otherwise power under the
     breach.  Replicate r at every n shares the stream key (seed, r, 0) for
-    the data and (seed, r, 1) for the null simulation, so rates across
-    sample sizes are comparable under common randomness.  With n_jobs > 1
-    replicates run in a process pool; results are reduced in replicate
-    order, so the output does not depend on scheduling.  The pool is
+    the data and (seed, r, 1) as the null law's seed (which nothing here
+    reads: the p-value is exact), so rates across sample sizes are
+    comparable under common randomness.  With n_jobs > 1 replicates run
+    in a process pool; results are reduced in replicate order, so the
+    output does not depend on scheduling.  The pool is
     imported only when n_jobs > 1, so callers that stay in-process never
     load `concurrent.futures` or `multiprocessing`.
     """

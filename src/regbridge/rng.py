@@ -6,13 +6,13 @@ keys give bit-identical draws.  Per-replicate loops over data sets key
 each replicate apart, typically ``(seed, replicate_index, ...)``, so
 they can run in any order or across processes without changing their
 output; that is what a counter-based generator is for (Salmon et al.
-2011).  The null simulation instead reads everything it needs as
-consecutive draws of one stream: first one gamma draw per replicate for
-the small-weight remainder, then the normals of the leading weights row
-by row.  That stream is never re-keyed, so it gains nothing from Philox
-and is drawn from SFC64, which makes normals in about 30% less time on
-x86-64; its output does not depend on chunking either (see
-`regbridge.limitsim.simulate_null`).
+2011).  The Monte Carlo sample of the null law instead reads everything
+it needs as consecutive draws of one stream: first one gamma draw per
+replicate for the small-weight remainder, then the normals of the
+leading weights row by row.  That stream is never re-keyed, so it gains
+nothing from Philox and is drawn from SFC64, which makes normals in
+about 30% less time on x86-64; its output does not depend on chunking
+either (see `regbridge.limitsim.NullDistribution.samples`).
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def collapse_seed(seed) -> int:
     Single integers pass through unchanged, so documented integer seeds
     stay readable; tuples are hashed.  Used where a routine seeds a
     two-word stream ``(effective_seed, word)`` from a seed that may be a
-    tuple, as the null simulation does.
+    tuple, as the null sample does.
     """
     parts = [p % _WORD for p in as_seed_key(seed)]
     if len(parts) == 1:

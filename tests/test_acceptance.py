@@ -186,7 +186,7 @@ def test_criterion_09_test_size():
         rb.fixtures.get_model(cfg["model"]), None, cfg["n_values"],
         cfg["level"], cfg["replicates"], cfg["seed"],
         inner_replicates=cfg["inner_replicates"], grid_m=cfg["grid_m"])
-    rate = study.rate(500)
+    rate = study.rates[study.n_values.index(500)]
     report("9 test size", 0.035 <= rate <= 0.065,
            f"rejection rate {rate:.4f} at level {cfg['level']:g} "
            f"(n=500, outer R={cfg['replicates']}, "
@@ -203,10 +203,11 @@ def test_criterion_10_test_power():
         rb.fixtures.get_model(cfg["model"]), breach, cfg["n_values"],
         cfg["level"], cfg["replicates"], cfg["seed"],
         inner_replicates=cfg["inner_replicates"], grid_m=cfg["grid_m"])
-    ok = (study.rate(500) > study.rate(100)
-          and study.rate(500) > 2.0 * cfg["level"])
+    rate100 = study.rates[study.n_values.index(100)]
+    rate500 = study.rates[study.n_values.index(500)]
+    ok = rate500 > rate100 and rate500 > 2.0 * cfg["level"]
     report("10 test power", ok,
-           f"rates {study.rate(100):.4f} (n=100) -> {study.rate(500):.4f} "
+           f"rates {rate100:.4f} (n=100) -> {rate500:.4f} "
            f"(n=500); threshold {2.0 * cfg['level']:g}",
            time.perf_counter() - t0, 1800.0)
 

@@ -138,6 +138,36 @@ class TestTestExitCodes:
         assert rc == EXIT_INPUT
         assert "error" in capsys.readouterr().err
 
+    def test_grid_too_large_for_memory_is_input_error(self, tmp_path, capsys):
+        # A 10^5-point grid needs an 80 GB kernel matrix; numpy refuses it.
+        data_path = run_simulate(tmp_path, n=40)
+        out = tmp_path / "r.json"
+        rc = main(["test", "--input", str(data_path), "--response", "y",
+                   "--order-columns", "x1", "--intercept", "const",
+                   "--grid", "100000", "--out", str(out)])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: not enough memory: at --grid 100000")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_replicates_only_cost_memory_when_sampled(self, tmp_path, capsys):
+        # 10^11 replicates are 800 GB once drawn: only --emit-null draws.
+        data_path = run_simulate(tmp_path, n=40)
+        base = ["test", "--input", str(data_path), "--response", "y",
+                "--order-columns", "x1", "--intercept", "const",
+                "--grid", "10", "--replicates", "100000000000"]
+        out, null = tmp_path / "r.json", tmp_path / "null.csv"
+        assert main(base + ["--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["replicates"] == 10 ** 11
+        out.unlink()
+        rc = main(base + ["--out", str(out), "--emit-null", str(null)])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: not enough memory: --replicates 100000000000")
+        assert "Traceback" not in err
+        assert not out.exists() and not null.exists()
+
     def test_missing_file_is_input_error(self, tmp_path):
         rc = main(["test", "--input", str(tmp_path / "absent.csv"),
                    "--response", "y", "--order-columns", "x1"])
@@ -544,16 +574,25 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "test" in proc.stdout and "simulate" in proc.stdout
 
-    def test_import_path_skips_scipy_quadrature(self):
-        # `regbridge test` never integrates, so start-up must not pay for
-        # scipy.integrate or scipy.special; the lab imports them on use.
-        code = ("import sys, regbridge, regbridge.cli; "
-                "print(sorted(m for m in ('scipy.integrate', 'scipy.special') "
-                "if m in sys.modules))")
+    def test_import_path_skips_scipy_quadrature(self, tmp_path):
+        # A whole `regbridge test` run, null sample and bridges included,
+        # loads no scipy module: the exact p-value is numpy alone, and the
+        # lab imports scipy's quadrature on use.
+        data_path = run_simulate(tmp_path, n=60)
+        argv = ["test", "--input", str(data_path), "--response", "y",
+                "--order-columns", "x1", "--intercept", "const",
+                "--grid", "10", "--replicates", "150",
+                "--out", str(tmp_path / "r.json"),
+                "--emit-null", str(tmp_path / "null.csv"),
+                "--emit-bridges", str(tmp_path / "bridges")]
+        code = ("import sys; from regbridge.cli import main; "
+                f"rc = main({argv!r}); print(rc, sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.strip() == f"{EXIT_OK} []"
+        assert (tmp_path / "null.csv").exists()
 
     def test_import_path_skips_jsonschema_and_process_pool(self):
         # Reports are checked in-process and the lab imports its pool only
@@ -641,6 +680,61 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == f"{EXIT_OK} False"
+
+
+# ======================================================================
+# staged pipeline
+# ======================================================================
+
+def staged_report(csv_path, schema, grid_m, replicates, seed):
+    """`regbridge test` rebuilt from its layers, as the benchmark does."""
+    import regbridge as rb
+
+    data = rb.load_csv(csv_path, schema)
+    fit = rb.fit_lse(data)
+    views = rb.all_orderings(data, fit)
+    bridges = tuple(rb.residual_bridge(v, fit.sigma2_hat) for v in views)
+    stat = rb.omega_sq(bridges)
+    cov = rb.empirical_covariance(data, views, gram=fit.gram)
+    grid = rb.GridSpec(grid_m)
+    null = rb.simulate_null(rb.factor_psd(rb.build_grid_covariance(cov, grid)),
+                            replicates, grid, seed)
+    result = rb.AdequacyResult(fit=fit, bridges=bridges, statistic=stat,
+                               covariance=cov, null=null,
+                               p_value=rb.p_value(stat, null), level=0.05)
+    ref = rb.run_adequacy_test(data, grid_m=grid_m, replicates=replicates,
+                               seed=seed)
+    return cli.TestReport(data=data, result=result, grid_m=grid_m,
+                          replicates=replicates, seed=seed).validated_json(), ref
+
+
+class TestStagedPipeline:
+    @pytest.mark.parametrize("fixture", ["size", "two-uniform"])
+    def test_stages_reproduce_the_cli_report(self, tmp_path, fixture):
+        # The layers called one by one give run_adequacy_test's p-value
+        # bit for bit and the CLI's report byte for byte.
+        import regbridge as rb
+
+        if fixture == "size":
+            cfg = rb.fixtures.load_experiment_defaults()["size"]
+            model, n = cfg["model"], cfg["n_values"][0]
+            grid_m, replicates = cfg["grid_m"], cfg["inner_replicates"]
+        else:
+            model, n, grid_m, replicates = fixture, 500, 100, 10000
+        model = rb.fixtures.get_model(model)
+        path = tmp_path / "data.csv"
+        rb.write_csv(rb.sample_h0(model, n, (5, model.d1)), path)
+        cols = [f"x{k + 1}" for k in range(model.d1)]
+        out = tmp_path / "r.json"
+        assert main(["test", "--input", str(path), "--response", "y",
+                     "--order-columns", ",".join(cols), "--intercept", "const",
+                     "--grid", str(grid_m), "--replicates", str(replicates),
+                     "--seed", "3", "--out", str(out)]) == EXIT_OK
+        schema = rb.ColumnSchema(order=tuple(cols), response="y",
+                                 intercept="const")
+        text, ref = staged_report(path, schema, grid_m, replicates, 3)
+        assert json.loads(text)["p_value"] == ref.p_value
+        assert text == out.read_text()
 
 
 # ======================================================================

@@ -1,10 +1,11 @@
-"""Grid simulation of the limiting statistic and its Monte Carlo p-value."""
+"""Grid law of the limiting statistic: exact tail, quantiles and p-value,
+and its Monte Carlo sample."""
 
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import regbridge as rb
@@ -282,8 +283,8 @@ class TestSimulateNull:
         f = rb.factor_psd(rb.build_grid_covariance(cov, grid))
         base = rb.simulate_null(f, replicates, grid, seed=5)
         with mock.patch.object(limitsim, "_CHUNK", chunk):
-            small = rb.simulate_null(f, replicates, grid, seed=5)
-        assert small.samples.tobytes() == base.samples.tobytes()
+            small = rb.simulate_null(f, replicates, grid, seed=5).samples
+        assert small.tobytes() == base.samples.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 5, 11, -1])
     def test_null_rows_differ_from_data_stream(self, seed):
@@ -357,6 +358,8 @@ class TestSimulateNull:
         emp = float(np.mean(null.samples > x))
         se = np.sqrt(exact * (1.0 - exact) / replicates)
         assert abs(emp - exact) < 4.0 * se
+        # The exact tail differs from the full law's only by the split.
+        assert abs(rb.p_value(x, null) - exact) < 1e-5
 
 
 @st.composite
@@ -459,122 +462,229 @@ class TestSplitLaw:
 # Null distribution and p-values
 # ======================================================================
 
-class TestNullDistribution:
-    def make_null(self):
-        samples = np.sort(np.linspace(0.01, 2.0, 200))
-        return rb.NullDistribution(samples=samples, replicates=200,
-                                   clip_count=0)
+def law(weights, b=0.0, m=1):
+    """Null law of these weights, split as `simulate_null` splits them."""
+    lead, a, nu, shift = limitsim._split_weights(np.asarray(weights, dtype=float))
+    return rb.NullDistribution(lead=lead, a=a, nu=nu, b=shift + b, m=m,
+                               replicates=100, seed=0, clip_count=0)
 
+
+def pinned_null(m=20, replicates=2000, seed=3):
+    grid = rb.GridSpec(m)
+    f = rb.factor_psd(rb.build_grid_covariance(
+        rb.fixtures.pinned_bridge_covariance(), grid))
+    return rb.simulate_null(f, replicates, grid, seed=seed)
+
+
+class TestNullDistribution:
     def test_quantile_and_mean(self):
-        null = self.make_null()
-        assert null.quantile(0.5) == pytest.approx(np.quantile(null.samples, 0.5))
+        # The exact median and mean against those of the Monte Carlo
+        # sample, within its error (sd of the median about 0.002).
+        null = pinned_null()
+        assert null.quantile(0.5) == pytest.approx(
+            np.quantile(null.samples, 0.5), abs=0.01)
+        mean = (null.lead.sum() + null.a * null.nu + null.b) / null.m
+        assert float(null.samples.mean()) == pytest.approx(mean, rel=0.03)
         qs = null.quantile([0.25, 0.75])
-        assert qs.shape == (2,)
+        assert qs.shape == (2,) and qs[0] < qs[1]
 
     def test_sample_count_must_match(self):
-        with pytest.raises(ValidationError):
-            rb.NullDistribution(samples=np.zeros(5), replicates=6,
-                                clip_count=0)
+        null = pinned_null(replicates=150)
+        assert null.samples.shape == (150,)
 
-    def test_unsorted_samples_rejected(self):
-        with pytest.raises(ValidationError, match="sorted"):
-            rb.NullDistribution(samples=np.array([1.0, 3.0, 2.0]), replicates=3,
-                                clip_count=0)
+    def test_samples_are_sorted(self):
+        null = pinned_null()
+        s = null.samples
+        assert np.all(s[1:] >= s[:-1])
+        assert null.samples is s  # drawn once, on first read
+
+    def test_nothing_is_drawn_until_read(self):
+        # A sample of 10^12 draws would need 8 TB: building the law and
+        # its p-value must not touch it, and reading it is the only way
+        # to fail on its size.
+        grid = rb.GridSpec(20)
+        f = rb.factor_psd(rb.build_grid_covariance(
+            rb.fixtures.pinned_bridge_covariance(), grid))
+        null = rb.simulate_null(f, 10 ** 12, grid, seed=0)
+        assert rb.p_value(0.3, null) == pinned_null().sf(0.3)
+        with pytest.raises(MemoryError):
+            null.samples
 
     def test_quantile_range_checked(self):
-        null = self.make_null()
+        null = pinned_null()
         for q in (-0.1, 1.5, float("nan"), [0.5, 2.0]):
             with pytest.raises(ValueError, match="range"):
                 null.quantile(q)
 
+    def test_quantile_ends(self):
+        null = law([1.0, 0.5], b=0.25, m=2)
+        assert null.quantile(0.0) == 0.125
+        assert null.quantile(1.0) == np.inf
+        assert type(null.quantile(0.5)) is float
+        assert null.quantile(np.array([[0.0, 1.0]])).shape == (1, 2)
+
+    def test_zero_law_is_a_point_mass(self):
+        null = law(np.zeros(3))
+        assert null.sf(0.0) == 1.0
+        assert null.sf(1e-300) == np.finfo(float).tiny
+        assert np.all(null.quantile([0.0, 0.5]) == 0.0)
+
 
 @st.composite
-def sorted_samples(draw, parity):
-    """Sorted sample of n = 2k + parity values, most of them repeated.
-
-    Adding 0.0 turns -0.0 into 0.0, as in null samples, which are sums of
-    squares: -0.0 compares equal to 0.0, so the sorted order of signed
-    zeros, and with it the sign of a zero quantile, is not unique.
-    """
-    n = 2 * draw(st.integers(1 - parity, 150)) + parity
-    pool = draw(st.lists(st.floats(-1e6, 1e6).map(lambda x: x + 0.0),
-                         min_size=1, max_size=n))
-    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n,
-                          max_size=n))
-    return np.sort(np.array(pool)[picks])
+def split_spectra(draw, copies=st.just(1)):
+    """Decaying or dense random spectra, scaled to sum 1, repeated
+    `copies` times as if for several ordering slots."""
+    w = draw(st.one_of(decaying_spectra(), arrays(
+        np.float64, st.integers(1, 40), elements=st.floats(0.0, 1.0))))
+    assume(w.max() > 0.0)
+    w = np.tile(w, draw(copies))
+    return w / w.sum()
 
 
-def as_null(samples):
-    return rb.NullDistribution(samples=samples, replicates=samples.size,
-                               clip_count=0)
+def law_arrays(w):
+    """Weights, degrees of freedom and shift of the split law of `w`."""
+    lead, a, nu, b = limitsim._split_weights(w)
+    return np.append(lead, a), np.append(np.ones(lead.size), nu), b
 
 
-UNIT = st.floats(0.0, 1.0)
-# The ends, and midpoints, where t = 0.5 picks the second form of the lerp.
-EXACT_Q = (0.0, 1.0, 0, 1, 0.25, 0.5, 0.75)
+class TestExactLaw:
+    """`NullDistribution.sf` and `quantile` against independent oracles."""
 
+    @settings(max_examples=25, deadline=None)
+    @given(w=split_spectra())
+    def test_tail_matches_quadrature(self, w):
+        # The split law, inverted here, against the tests' one-period
+        # plus QAWF Imhof integral of the same law.
+        null = law(w)
+        lam, h, b = law_arrays(w)
+        sd = np.sqrt(2.0 * np.sum(w * w))
+        for c in (-0.5, 0.0, 1.0, 2.0, 4.0, 8.0):
+            x = 1.0 + c * sd
+            if x > 0.0:
+                assert abs(null.sf(x) - imhof_sf(x, lam, h, b)) <= 1e-10
 
-class TestQuantileOracle:
-    """`NullDistribution.quantile` against np.quantile, bit for bit."""
+    @settings(max_examples=10, deadline=None)
+    @given(w=split_spectra(copies=st.integers(2, 8)))
+    def test_repeated_tail_matches_quadrature(self, w):
+        # Spectra repeated over several slots, which reach the Gil-Pelaez
+        # path.  On such spectra QUADPACK's QAWF, reporting errors below
+        # 1e-12, was found 2.4e-10 from both rules and from a 40-digit
+        # Talbot inversion, so the bound is the 1e-9 `imhof_sf` asserts.
+        null = law(w)
+        lam, h, b = law_arrays(w)
+        sd = np.sqrt(2.0 * np.sum(w * w))
+        for c in (-1.0, 0.0, 1.0, 3.0, 6.0):
+            x = 1.0 + c * sd
+            if x > 0.0:
+                assert abs(null.sf(x) - imhof_sf(x, lam, h, b)) <= 1e-9
 
-    @pytest.mark.parametrize("parity", [0, 1])
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.data())
-    def test_scalar_q(self, parity, data):
-        samples = data.draw(sorted_samples(parity))
-        q = data.draw(st.one_of(UNIT, st.sampled_from(EXACT_Q)))
-        got = as_null(samples).quantile(q)
-        assert type(got) is float
-        assert np.float64(got).tobytes() == np.quantile(samples, q).tobytes()
+    @settings(max_examples=20, deadline=None)
+    @given(w=split_spectra(copies=st.integers(1, 6)))
+    def test_tail_matches_long_gil_pelaez_sum(self, w):
+        # Whichever rule the law takes, its tail and density agree with
+        # an independent Gil-Pelaez sum wherever that takes 5,000 nodes
+        # or fewer (the law itself takes at most 500).
+        lam, h, b = law_arrays(w)
+        mean = float(h @ lam)
+        y = mean * np.array([0.3, 0.8, 1.0, 1.5, 3.0, 6.0])
+        cap = limitsim._TILT_CAP / (2.0 * lam[0])
+        T = (37.0 - 0.5 * (np.log1p(-2.0 * cap * lam) @ h)) / cap
+        U = 2.0 * np.pi * 5000 / (mean + T)
+        assume(np.log1p(4.0 * U * U * lam * lam) @ h >= 148.0)
+        sf, pdf = limitsim._gil_pelaez(y, lam, h, T, U)
+        null = law(w)
+        assert np.allclose(null.sf(y + b), sf, rtol=0.0, atol=1e-10)
+        assert np.allclose(null._tail(y)[1], pdf, rtol=1e-8, atol=1e-9)
 
-    @pytest.mark.parametrize("parity", [0, 1])
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data())
-    def test_array_q(self, parity, data):
-        samples = data.draw(sorted_samples(parity))
-        q = data.draw(st.one_of(
-            arrays(np.float64, st.integers(1, 12), elements=UNIT),
-            arrays(np.float64, (2, 3), elements=UNIT),
-            st.just(np.array(EXACT_Q[:2] + EXACT_Q[4:])),
-            st.just(np.array([0, 1]))))
-        got = as_null(samples).quantile(q)
-        expect = np.quantile(samples, q)
-        assert isinstance(got, np.ndarray)
-        assert got.shape == expect.shape and got.dtype == expect.dtype
-        assert got.tobytes() == expect.tobytes()
+    @pytest.mark.parametrize("big, ratio, small", [(1, 60.0, 150), (3, 8.0, 48)])
+    def test_clustered_weights(self, big, ratio, small):
+        # A few large weights beside a cluster of equal small ones, as
+        # many strongly correlated regressors give: the Gil-Pelaez sum is
+        # long and the cluster's high-order pole fails the Talbot check.
+        w = np.array([ratio] * big + [1.0] * small)
+        w /= w.sum()
+        null = law(w)
+        lam, h, b = law_arrays(w)
+        for x in (0.8, 1.0, 1.5, 3.0):
+            assert abs(null.sf(x) - imhof_sf(x, lam, h, b)) <= 1e-9
 
-    @pytest.mark.parametrize("n", [100, 101, 2000])
-    def test_midpoints_of_a_continuous_sample(self, n):
-        # At t = 0.5 the two forms of the lerp round differently for about
-        # one pair of random neighbours in seven.
-        rng = np.random.default_rng(n)
-        samples = np.sort(rng.standard_normal(n) ** 2)
-        q = np.concatenate([(np.arange(n - 1) + 0.5) / (n - 1), rng.random(200)])
-        null = as_null(samples)
-        assert null.quantile(q).tobytes() == np.quantile(samples, q).tobytes()
-        for x in q[::5].tolist():
-            assert (np.float64(null.quantile(x)).tobytes()
-                    == np.quantile(samples, x).tobytes())
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 9, 12, 40, 100, 400])
+    @pytest.mark.parametrize("scale", [1e-3, 0.7])
+    def test_equal_weights_match_chi2(self, k, scale):
+        # k equal weights w give w chi2(k) exactly: no remainder law.  A
+        # dozen weights go to the Talbot rule, which holds relative
+        # accuracy into the far tail; from 30 on the Gil-Pelaez sum is
+        # short, and accurate in absolute terms.
+        from scipy.stats import chi2
+
+        null = law(np.full(k, scale), m=3)
+        tails = np.array([0.9, 0.5, 1e-2, 1e-5, 1e-8, 1e-11, 1e-14])
+        x = chi2.isf(tails, k) * scale / 3
+        ref = chi2.sf(3 * x / scale, k)
+        if k <= 12:
+            assert np.all(np.abs(null.sf(x) / ref - 1.0) <= 1e-8)
+        else:
+            assert np.all(np.abs(null.sf(x) - ref) <= 1e-13)
+
+    def test_node_at_the_tilt(self):
+        # At y = E Y + 0.8 N w_max the real node of the N-node rule sits
+        # on the tilt, where (1 - phi(q)) / q is 0 / 0: its limit is used.
+        from scipy.stats import chi2
+
+        P = limitsim._TALBOT_P[0].real  # 0.4 * 24
+        y = 3.0 + 2.0 * P
+        null = law(np.ones(3))
+        theta = (y - 3.0) / (2.0 * y)
+        assert P / y == theta
+        assert null.sf(y) == pytest.approx(chi2.sf(y, 3), rel=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(w=split_spectra(), b=st.floats(0.0, 1.0))
+    def test_sf_is_a_monotone_probability(self, w, b):
+        null = law(w, b=b, m=2)
+        x = np.concatenate(([-1.0, 0.0, b / 2], b / 2 + np.geomspace(1e-3, 40.0, 80)))
+        s = null.sf(x)
+        assert np.all((s > 0.0) & (s <= 1.0))
+        assert s[0] == s[1] == s[2] == 1.0
+        # Non-increasing, up to the rule's roundoff.
+        assert np.all(s[1:] <= s[:-1] * (1.0 + 1e-8) + 1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(w=split_spectra(), q=st.floats(1e-6, 1.0, exclude_max=True))
+    @example(w=np.array([1.0]), q=1.0 - 1e-14)
+    def test_quantile_inverts_sf(self, w, q):
+        # q >= 1e-6: below it one ulp of x moves the tail of a single
+        # chi2(1), whose density is infinite at 0, by more than 1e-10.
+        null = law(w, b=0.1, m=4)
+        x = null.quantile(q)
+        assert abs(null.sf(x) - (1.0 - q)) <= 1e-10
+        xs = null.quantile(np.array([q, 0.9, 0.99]))
+        assert np.allclose(null.sf(xs), 1.0 - np.array([q, 0.9, 0.99]),
+                           rtol=0.0, atol=1e-10)
+
+    def test_sample_quantile_near_the_classical_value(self):
+        # Criterion 8's null, read through its Monte Carlo sample: the
+        # pinned bridge's 95th percentile is 0.4614.
+        grid = rb.GridSpec(200)
+        f = rb.factor_psd(rb.build_grid_covariance(
+            rb.fixtures.pinned_bridge_covariance(), grid))
+        null = rb.simulate_null(f, 100_000, grid, seed=20260821)
+        assert abs(float(np.quantile(null.samples, 0.95)) - 0.4614) < 0.02
 
 
 class TestPValue:
-    def make_null(self):
-        samples = np.sort(np.arange(1.0, 200.0 + 1.0))
-        return rb.NullDistribution(samples=samples, replicates=200,
-                                   clip_count=0)
-
     def test_extremes(self):
-        null = self.make_null()
-        assert rb.p_value(1000.0, null) == pytest.approx(1.0 / 201.0)
-        assert rb.p_value(0.0, null) == pytest.approx(1.0)
+        # Far beyond the support the tail underflows and is floored.
+        null = pinned_null()
+        assert rb.p_value(1000.0, null) == np.finfo(float).tiny
+        assert rb.p_value(0.0, null) == 1.0
 
     def test_midpoint(self):
-        null = self.make_null()
-        # 100 of the 200 samples are >= 101.
-        assert rb.p_value(101.0, null) == pytest.approx(101.0 / 201.0)
+        null = pinned_null()
+        assert rb.p_value(null.quantile(0.5), null) == pytest.approx(0.5, abs=1e-10)
 
     def test_rejects_non_finite(self):
-        null = self.make_null()
+        null = pinned_null()
         with pytest.raises(ValidationError):
             rb.p_value(float("nan"), null)
 
@@ -587,6 +697,10 @@ class TestPValue:
         fresh = rb.simulate_null(f, 500, grid, seed=9)
         ps = np.array([rb.p_value(s, null) for s in fresh.samples])
         assert abs(ps.mean() - 0.5) < 0.05
+
+    def test_does_not_depend_on_replicates_or_seed(self):
+        assert pinned_null(replicates=100, seed=1).sf(0.2) == \
+            pinned_null(replicates=10 ** 6, seed=2).sf(0.2)
 
 
 class TestNullSamplesCSV:

@@ -231,7 +231,6 @@ class TestSizePowerStudy:
                                   seed=7, inner_replicates=100, grid_m=10)
         assert res.mode == "size"
         assert res.rates == (1.0,)
-        assert res.rate(30) == 1.0
 
     def test_common_randomness_across_sample_sizes(self):
         # Repeating a sample size reuses the same replicate keys, so the
