@@ -541,12 +541,6 @@ def split_spectra(draw, copies=st.just(1)):
     return w / w.sum()
 
 
-def law_arrays(w):
-    """Weights, degrees of freedom and shift of the split law of `w`."""
-    lead, a, nu, b = limitsim._split_weights(w)
-    return np.append(lead, a), np.append(np.ones(lead.size), nu), b
-
-
 class TestExactLaw:
     """`NullDistribution.sf` and `quantile` against independent oracles."""
 
@@ -556,12 +550,11 @@ class TestExactLaw:
         # The split law, inverted here, against the tests' one-period
         # plus QAWF Imhof integral of the same law.
         null = law(w)
-        lam, h, b = law_arrays(w)
         sd = np.sqrt(2.0 * np.sum(w * w))
         for c in (-0.5, 0.0, 1.0, 2.0, 4.0, 8.0):
             x = 1.0 + c * sd
             if x > 0.0:
-                assert abs(null.sf(x) - imhof_sf(x, lam, h, b)) <= 1e-10
+                assert abs(null.sf(x) - split_sf(x, w)) <= 1e-10
 
     @settings(max_examples=10, deadline=None)
     @given(w=split_spectra(copies=st.integers(2, 8)))
@@ -571,12 +564,11 @@ class TestExactLaw:
         # 1e-12, was found 2.4e-10 from both rules and from a 40-digit
         # Talbot inversion, so the bound is the 1e-9 `imhof_sf` asserts.
         null = law(w)
-        lam, h, b = law_arrays(w)
         sd = np.sqrt(2.0 * np.sum(w * w))
         for c in (-1.0, 0.0, 1.0, 3.0, 6.0):
             x = 1.0 + c * sd
             if x > 0.0:
-                assert abs(null.sf(x) - imhof_sf(x, lam, h, b)) <= 1e-9
+                assert abs(null.sf(x) - split_sf(x, w)) <= 1e-9
 
     @settings(max_examples=20, deadline=None)
     @given(w=split_spectra(copies=st.integers(1, 6)))
@@ -584,7 +576,8 @@ class TestExactLaw:
         # Whichever rule the law takes, its tail and density agree with
         # an independent Gil-Pelaez sum wherever that takes 5,000 nodes
         # or fewer (the law itself takes at most 500).
-        lam, h, b = law_arrays(w)
+        lead, a, nu, b = limitsim._split_weights(w)
+        lam, h = np.append(lead, a), np.append(np.ones(lead.size), nu)
         mean = float(h @ lam)
         y = mean * np.array([0.3, 0.8, 1.0, 1.5, 3.0, 6.0])
         cap = limitsim._TILT_CAP / (2.0 * lam[0])
@@ -604,9 +597,8 @@ class TestExactLaw:
         w = np.array([ratio] * big + [1.0] * small)
         w /= w.sum()
         null = law(w)
-        lam, h, b = law_arrays(w)
         for x in (0.8, 1.0, 1.5, 3.0):
-            assert abs(null.sf(x) - imhof_sf(x, lam, h, b)) <= 1e-9
+            assert abs(null.sf(x) - split_sf(x, w)) <= 1e-9
 
     @pytest.mark.parametrize("k", [1, 2, 3, 8, 9, 12, 40, 100, 400])
     @pytest.mark.parametrize("scale", [1e-3, 0.7])
