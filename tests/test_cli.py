@@ -151,8 +151,13 @@ class TestTestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_replicates_only_cost_memory_when_sampled(self, tmp_path, capsys):
-        # 10^11 replicates are 800 GB once drawn: only --emit-null draws.
+    def test_replicates_only_cost_memory_when_sampled(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # 10^11 replicates are 800 GB once drawn: only --emit-null draws,
+        # and there the allocation failure (stood in for here, so that no
+        # host is asked for 800 GB) is an input error.
+        from regbridge.limitsim import NullDistribution
+
         data_path = run_simulate(tmp_path, n=40)
         base = ["test", "--input", str(data_path), "--response", "y",
                 "--order-columns", "x1", "--intercept", "const",
@@ -161,6 +166,11 @@ class TestTestExitCodes:
         assert main(base + ["--out", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["replicates"] == 10 ** 11
         out.unlink()
+
+        def no_memory(self):
+            raise MemoryError("Unable to allocate 745. GiB")
+
+        monkeypatch.setattr(NullDistribution, "samples", property(no_memory))
         rc = main(base + ["--out", str(out), "--emit-null", str(null)])
         assert rc == EXIT_INPUT
         err = capsys.readouterr().err
