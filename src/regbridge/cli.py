@@ -318,8 +318,7 @@ def cmd_simulate(args) -> int:
 
 # Fixture fields that the verify flags override when given.
 _OVERRIDES = {"n": "n", "replicates": "replicates", "seed": "seed",
-              "inner_replicates": "inner_replicates", "alpha": "level",
-              "grid": "grid_m"}
+              "alpha": "level", "grid": "grid_m"}
 
 
 def _size_band(level: float, nominal: float, halfwidth: float) -> float:
@@ -550,12 +549,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the fixture sample size")
     p_ver.add_argument("--replicates", type=int, default=None,
                        help="override the fixture replicate count")
-    p_ver.add_argument("--inner-replicates", type=int, default=None,
-                       help="override the nested null-simulation replicates")
     p_ver.add_argument("--seed", type=int, default=None,
                        help="override the fixture seed")
     p_ver.add_argument("--grid", type=int, default=None,
-                       help="override the null-simulation grid size")
+                       help="override the null-law grid size")
     p_ver.add_argument("--alpha", type=float, default=None,
                        help="override the rejection level (size/power)")
     p_ver.add_argument("--n-jobs", type=int, default=1,

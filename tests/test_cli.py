@@ -138,8 +138,17 @@ class TestTestExitCodes:
         assert rc == EXIT_INPUT
         assert "error" in capsys.readouterr().err
 
-    def test_grid_too_large_for_memory_is_input_error(self, tmp_path, capsys):
-        # A 10^5-point grid needs an 80 GB kernel matrix; numpy refuses it.
+    def test_grid_too_large_for_memory_is_input_error(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # A 10^5-point grid needs an 80 GB kernel matrix.  Its allocation
+        # failure is stood in for, so that no host is asked for 80 GB.
+        import regbridge.adequacy
+
+        def no_memory(cov, grid):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+
+        monkeypatch.setattr(regbridge.adequacy, "build_grid_covariance",
+                            no_memory)
         data_path = run_simulate(tmp_path, n=40)
         out = tmp_path / "r.json"
         rc = main(["test", "--input", str(data_path), "--response", "y",
@@ -148,6 +157,7 @@ class TestTestExitCodes:
         assert rc == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error: not enough memory: at --grid 100000")
+        assert "takes 80 GB" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -369,15 +379,14 @@ VERIFY_OVERRIDES = {
     "field": {"n": 50, "replicates": 20, "seed": 4},
     "sums": {"n": 50, "replicates": 30, "seed": 5},
     "bridges": {"n": 60, "replicates": 40, "seed": 6},
-    "size": {"n": 40, "replicates": 6, "inner_replicates": 100,
-             "grid_m": 10, "level": 0.5, "seed": 7},
-    "power": {"n": 60, "replicates": 6, "inner_replicates": 100,
-              "grid_m": 10, "level": 0.3, "seed": 8},
+    "size": {"n": 40, "replicates": 6, "grid_m": 10, "level": 0.5,
+             "seed": 7},
+    "power": {"n": 60, "replicates": 6, "grid_m": 10, "level": 0.3,
+              "seed": 8},
     "gram-identity": {},
 }
 VERIFY_FLAGS = {"n": "--n", "replicates": "--replicates", "seed": "--seed",
-                "inner_replicates": "--inner-replicates", "grid_m": "--grid",
-                "level": "--alpha"}
+                "grid_m": "--grid", "level": "--alpha"}
 
 
 def _verify_by_library(name, overrides):
@@ -487,16 +496,15 @@ class TestVerifyCommand:
 
     def test_size_banding_at_level_one(self, capsys):
         rc = main(["verify", "--experiment", "size", "--alpha", "1.0",
-                   "--n", "40", "--replicates", "5",
-                   "--inner-replicates", "100", "--grid", "10"])
+                   "--n", "40", "--replicates", "5", "--grid", "10"])
         assert rc == EXIT_OK
         assert "rate 1.0000" in capsys.readouterr().out
 
     def test_power_checks_with_overrides(self, tmp_path, capsys):
         out = tmp_path / "power.json"
         rc = main(["verify", "--experiment", "power", "--n", "500",
-                   "--replicates", "20", "--inner-replicates", "200",
-                   "--alpha", "0.1", "--grid", "20", "--out", str(out)])
+                   "--replicates", "20", "--alpha", "0.1", "--grid", "20",
+                   "--out", str(out)])
         assert rc == EXIT_OK
         captured = capsys.readouterr().out
         assert "nondecreasing PASS" in captured
@@ -505,8 +513,8 @@ class TestVerifyCommand:
         assert payload["rates"][-1] > 0.2
 
     @pytest.mark.parametrize("name, flags, ignored", [
-        ("size", ["--n", "40", "--replicates", "5", "--inner-replicates",
-                  "100", "--grid", "10", "--emit-table", "t.csv"],
+        ("size", ["--n", "40", "--replicates", "5", "--grid", "10",
+                  "--emit-table", "t.csv"],
          ["emit-table"]),
         ("gram-identity", ["--n", "40", "--grid", "10"], ["n", "grid"]),
         ("bridges", ["--n", "100", "--replicates", "100",
@@ -514,8 +522,8 @@ class TestVerifyCommand:
         ("gram-identity", ["--n-jobs", "2"], ["n-jobs"]),
         ("bridges", ["--n", "100", "--replicates", "100", "--n-jobs", "3",
                      "--emit-table", "t.csv"], ["n-jobs"]),
-        ("size", ["--n", "40", "--replicates", "5", "--inner-replicates",
-                  "100", "--grid", "10", "--n-jobs", "1"], []),
+        ("size", ["--n", "40", "--replicates", "5", "--grid", "10",
+                  "--n-jobs", "1"], []),
     ])
     def test_inapplicable_flags_warn_on_stderr(self, name, flags, ignored,
                                                tmp_path, monkeypatch, capsys):
@@ -527,6 +535,13 @@ class TestVerifyCommand:
             for flag in ignored]
         assert captured.out.splitlines()[-1].startswith(f"experiment '{name}': ")
         assert (tmp_path / "t.csv").exists() is False
+
+    def test_inner_replicates_flag_is_gone(self, capsys):
+        # The p-value is exact, so no nested replicate count is read.
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--experiment", "size", "--inner-replicates", "100"])
+        assert exc.value.code == 2
+        assert "--inner-replicates" in capsys.readouterr().err
 
     def test_unknown_experiment_is_input_error(self, capsys):
         rc = main(["verify", "--experiment", "sideways"])
