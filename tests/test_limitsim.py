@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 import regbridge as rb
 import regbridge.limitsim as limitsim
-from regbridge.errors import ValidationError
+from regbridge.errors import RegBridgeError, ValidationError
 from regbridge.rng import collapse_seed, philox_stream
 
 
@@ -598,6 +598,54 @@ class TestExactLaw:
         null = law(w)
         for x in (0.8, 1.0, 1.5, 3.0):
             assert abs(null.sf(x) - split_sf(x, w)) <= 1e-9
+
+    @pytest.mark.parametrize("ratio, small, x", [(512.0, 100, 0.2),
+                                                 (1000.0, 150, 0.1),
+                                                 (1500.0, 150, 0.05)])
+    def test_long_gil_pelaez_sums(self, ratio, small, x):
+        # One weight beside many equal ones far smaller, read well below
+        # the mean: the two Talbot rules disagree (the 32-node one errs
+        # by up to 3.9e-5 here), and the Gil-Pelaez sum runs to more than
+        # ten times its first length.  The law is exactly w1 chi2(1) +
+        # w2 chi2(small), so the reference integrates the chi2(1) tail
+        # against the chi2(small) density.
+        from scipy.integrate import quad
+        from scipy.stats import chi2
+
+        w1, w2 = ratio / (ratio + small), 1.0 / (ratio + small)
+        lengths, sums = [], limitsim._gil_pelaez
+
+        def spy(y, lam, h, T, U):
+            lengths.append(U * (lam @ h + T) / (2.0 * np.pi))
+            return sums(y, lam, h, T, U)
+
+        with mock.patch.object(limitsim, "_gil_pelaez", spy):
+            got = law(np.array([w1] + [w2] * small)).sf(x)
+        assert lengths and lengths[0] > 10 * limitsim._MAX_NODES
+        head, err = quad(lambda z: chi2.pdf(z, small) * chi2.sf((x - w2 * z) / w1, 1),
+                         0.0, x / w2, limit=400, epsabs=1e-14, epsrel=1e-13)
+        assert err < 1e-13
+        assert abs(got - (head + chi2.sf(x / w2, small))) <= 1e-12
+
+    def test_unchecked_tail_is_refused(self):
+        # Past the longest Gil-Pelaez sum no inversion passes its check,
+        # and the law says so rather than return an unchecked value.
+        null = law(np.array([48000.0] + [1.0] * 400) / 48400.0)
+        with pytest.raises(RegBridgeError, match="checked accuracy"):
+            null.sf(0.01)
+        assert null.sf(0.5) < 1.0  # the same law nearer its mean
+
+    def test_far_tail_kept_on_absolute_agreement(self):
+        # Tails of 0.25 chi2(4) below 1e-50: past the capped tilt the two
+        # Talbot rules part by over 5e-8 in relative terms, no Gil-Pelaez
+        # sum is short enough for four weights, and the rules' absolute
+        # agreement, far inside 1e-10, is what is kept.
+        from scipy.stats import chi2
+
+        w, y = np.full(4, 0.25), np.array([61.0, 70.0, 80.0])
+        sf, check = limitsim._talbot(y, w, np.ones(4), 1.0)[0].T
+        assert np.all(np.abs(sf / check - 1.0) > 5e-8)
+        assert np.allclose(law(w).sf(y), chi2.sf(4.0 * y, 4), rtol=1e-5, atol=0.0)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 8, 9, 12, 40, 100, 400])
     @pytest.mark.parametrize("scale", [1e-3, 0.7])
