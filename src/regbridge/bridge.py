@@ -1,11 +1,13 @@
 """Residual partial-sum bridges and the omega-squared statistic.
 
 For a view sorted by one ordering column, the bridge is the running sum of
-residuals at k/n, divided by sqrt(n * sigma2_hat).  With an intercept in
-the design the residuals sum to zero, so each bridge is pinned at both
-ends.  The statistic integrates the squared bridge over [0, 1], summed
-across ordering columns; the integral of a piecewise-linear square has a
-closed form, used here instead of any quadrature.
+residuals at k/n, divided by sqrt(n * sigma2_hat); inside a block of tied
+ordering values every node takes the sum to the end of the block (see
+`ordering`).  With an intercept in the design the residuals sum to zero,
+so each bridge is pinned at both ends.  The statistic integrates the
+squared bridge over [0, 1], summed across ordering columns; the integral
+of a piecewise-linear square has a closed form, used here instead of any
+quadrature.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ class BridgeProcess:
 
 
 def residual_bridge(view: OrderedView, sigma2_hat: float) -> BridgeProcess:
-    """Normalized running sum of the view's residuals.
+    """The view's running residual sums, divided by sqrt(n * sigma2_hat).
 
     Raises :class:`DegenerateModelError` when sigma2_hat <= 0 (a perfect
     fit leaves nothing to normalize by).
@@ -85,13 +87,8 @@ def residual_bridge(view: OrderedView, sigma2_hat: float) -> BridgeProcess:
         raise DegenerateModelError(
             f"sigma2_hat={sigma2_hat:.3e}: residual variance is zero, "
             "the statistic is undefined")
-    n = view.n
-    z = np.empty(n + 1)
-    z[0] = 0.0
-    np.cumsum(view.sorted_residuals, out=z[1:])
-    z /= math.sqrt(n * sigma2_hat)
-    z[0] = 0.0
-    return BridgeProcess(z, column=view.column)
+    return BridgeProcess(view.sums[:, 0] / math.sqrt(view.n * sigma2_hat),
+                         column=view.column)
 
 
 def evaluate(bridge: BridgeProcess, t):

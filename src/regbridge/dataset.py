@@ -170,44 +170,48 @@ class ColumnSchema:
 def load_csv(path, schema: ColumnSchema) -> Dataset:
     """Read a headed CSV file into a :class:`Dataset`.
 
-    Regressor columns keep the order they have in the file.  Columns not
-    named by the schema are ignored.  Raises :class:`SchemaError` for
-    missing or duplicated header names and :class:`ParseError` for cells
-    that are not finite numbers.
+    The file is UTF-8, with or without a byte-order mark.  Regressor
+    columns keep the order they have in the file.  Columns not named by
+    the schema are ignored.  Raises :class:`SchemaError` for missing or
+    duplicated header names and :class:`ParseError` for bytes that are
+    not UTF-8 and for cells that are not finite numbers.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: file is empty")
-        header = [h.strip() for h in header]
-        dupes = {h for h in header if header.count(h) > 1}
-        if dupes:
-            raise SchemaError(f"{path}: duplicated header names {sorted(dupes)}")
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise SchemaError(f"{path}: file is empty")
+            header = [h.strip() for h in header]
+            dupes = {h for h in header if header.count(h) > 1}
+            if dupes:
+                raise SchemaError(f"{path}: duplicated header names {sorted(dupes)}")
 
-        wanted = list(schema.order)
-        if schema.intercept is not None:
-            wanted.append(schema.intercept)
-        missing = [c for c in wanted + [schema.response] if c not in header]
-        if missing:
-            raise SchemaError(f"{path}: missing columns {missing}")
+            wanted = list(schema.order)
+            if schema.intercept is not None:
+                wanted.append(schema.intercept)
+            missing = [c for c in wanted + [schema.response] if c not in header]
+            if missing:
+                raise SchemaError(f"{path}: missing columns {missing}")
 
-        keep = [name for name in header if name in set(wanted)]
-        reg_pos = [header.index(name) for name in keep]
-        resp_pos = header.index(schema.response)
+            keep = [name for name in header if name in set(wanted)]
+            reg_pos = [header.index(name) for name in keep]
+            resp_pos = header.index(schema.response)
 
-        reg_rows: list[list[float]] = []
-        resp_rows: list[float] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}")
-            reg_rows.append([_parse_cell(path, lineno, header[k], row[k])
-                             for k in reg_pos])
-            resp_rows.append(_parse_cell(path, lineno, header[resp_pos], row[resp_pos]))
+            reg_rows: list[list[float]] = []
+            resp_rows: list[float] = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not c.strip() for c in row):
+                    continue
+                if len(row) != len(header):
+                    raise ParseError(
+                        f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}")
+                reg_rows.append([_parse_cell(path, lineno, header[k], row[k])
+                                 for k in reg_pos])
+                resp_rows.append(_parse_cell(path, lineno, header[resp_pos], row[resp_pos]))
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: the file is not UTF-8 text") from None
 
     regressors = np.array(reg_rows, dtype=float).reshape(len(reg_rows), len(keep))
     response = np.array(resp_rows, dtype=float)

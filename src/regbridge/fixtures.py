@@ -14,8 +14,7 @@ from importlib import resources
 
 import numpy as np
 
-from .covmodel import (AnalyticLorentz, CovarianceModel, IndependenceFixture,
-                       ProductJointCDF)
+from .covmodel import IndependenceCovariance
 from .dataset import (AddQuadratic, AffineQuantile, IndependenceCopula,
                       NoiseSpec, SyntheticModel)
 from .errors import ValidationError
@@ -29,7 +28,6 @@ __all__ = [
     "single_uniform_model",
     "two_uniform_model",
     "affine_model",
-    "intercept_only_fixture",
     "quadratic_breach",
     "pinned_bridge_covariance",
     "get_model",
@@ -108,16 +106,11 @@ def affine_model() -> SyntheticModel:
                           noise=NoiseSpec("normal", 1.0))
 
 
-def intercept_only_fixture() -> IndependenceFixture:
-    """Closed-form ingredients for the intercept-only design."""
-    return IndependenceFixture(())
-
-
 def quadratic_breach(coef: float = 1.0, column: int = 0) -> AddQuadratic:
     return AddQuadratic(coef=coef, column=column)
 
 
-def pinned_bridge_covariance() -> CovarianceModel:
+def pinned_bridge_covariance() -> IndependenceCovariance:
     """Covariance model whose kernel is min(s, t) - s*t exactly.
 
     This is the intercept-only design ordered by one latent coordinate:
@@ -126,11 +119,7 @@ def pinned_bridge_covariance() -> CovarianceModel:
     check the null law and its sampler against known mean and quantile
     values.
     """
-    fixture = intercept_only_fixture()
-    return CovarianceModel(columns=(0,),
-                           lorentz=(AnalyticLorentz(fixture, 0),),
-                           gram=np.eye(1), gram_inv=np.eye(1),
-                           joint=ProductJointCDF())
+    return IndependenceCovariance(())
 
 
 MODELS = {
@@ -145,7 +134,7 @@ GRAM_CASES = {
     "single-uniform": single_uniform_model,
     "two-uniform": two_uniform_model,
     "affine": affine_model,
-    "intercept-only": intercept_only_fixture,
+    "intercept-only": pinned_bridge_covariance,
 }
 
 

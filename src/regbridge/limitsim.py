@@ -152,13 +152,14 @@ class NullDistribution:
         Talbot rule disagrees with it (tails below 1e-100 aside), as it
         does where clusters of near-equal weights put high-order poles
         near its contour (12 ordering regressors correlated at 0.9:
-        2.2e-8).  Then a Gil-Pelaez sum of up to a hundred times the
-        length: one large weight beside 150 equal ones 1/1000 its size
-        needs 17 times at a tenth of the mean, where the finer rule errs
-        by 3.9e-5.  Where even that is too short, the Talbot rule is kept
-        if the two rules agree to 1e-10 in absolute terms, as they do in
-        tails below about 1e-30, where the tilt is capped and the relative
-        error passes 5e-8.  Otherwise no checked value is known, as for
+        2.2e-8), or where either rule gives no probability, as where
+        the transform overflows far below the mean.  Then a Gil-Pelaez
+        sum of up to a hundred times the length: one large weight beside
+        150 equal ones 1/1000 its size needs 17 times at a tenth of the
+        mean, where the finer rule errs by 3.9e-5.  Where even that is too
+        short, the Talbot rule is kept if the two rules agree to 1e-10 in
+        absolute terms, as they do in tails below about 1e-30, where the
+        tilt is capped and the relative error passes 5e-8.  Otherwise no checked value is known, as for
         one weight beside 400 equal ones 1/48000 its size at a hundredth
         of the mean, and RegBridgeError is raised rather than an
         unchecked value returned.
@@ -172,15 +173,20 @@ class NullDistribution:
         decayed = np.log1p(np.multiply.outer(4.0 * U * U, w * w)) @ h >= 148.0
         if decayed[0]:
             return _gil_pelaez(y, w, h, T, U[0])
-        sf, pdf = _talbot(y, w, h, mean)
-        sf, check = sf.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            rules, pdf = _talbot(y, w, h, mean)
+        # A rule value that overflowed, or that is no probability up to
+        # the rules' roundoff, fails its check.
+        sane = (np.abs(rules - 0.5) <= 0.5 + 1e-10).all(axis=1)
+        sf, check = rules.T
         gap = np.abs(sf - check)
         # Within 5e-11 in the bulk, 5e-8 relative in tails below 1e-3.
-        if np.all((gap <= 5e-11 * np.minimum(1.0, 1e3 * np.abs(check))) | (check < 1e-100)):
+        if np.all(sane & ((gap <= 5e-11 * np.minimum(1.0, 1e3 * np.abs(check)))
+                          | (check < 1e-100))):
             return sf, pdf
         if decayed.any():
             return _gil_pelaez(y, w, h, T, U[np.argmax(decayed)])
-        if np.all(gap <= 1e-10):
+        if np.all(sane & (gap <= 1e-10)):
             return sf, pdf
         raise RegBridgeError("the tail probability of the null law could "
                              "not be computed to a checked accuracy here")

@@ -1,8 +1,14 @@
 """Row orderings induced by the ordering regressors.
 
-Each ordering column yields a view of the dataset sorted by that column.
-Sorting is stable, so tied regressor values keep their original relative
-row order and repeated calls give identical permutations.
+Each ordering column yields a view of the dataset sorted by that column,
+and one table of running sums of (residual, regressor row) along it:
+the bridge reads its residual column and the kernel's running-mean
+curve its regressor columns.  Sorting is stable, so repeated calls give
+identical permutations.  Rows tied on the column form one block, and at
+every node inside a block the table holds the sum to the end of the
+block (Stute 1997): the sum over every row at or below the node's value,
+the `<=` rule of the kernel's pairwise cdf.  So no output depends on the
+input row order.
 """
 
 from __future__ import annotations
@@ -20,16 +26,19 @@ __all__ = ["OrderedView", "order_by", "all_orderings"]
 
 @dataclass(frozen=True)
 class OrderedView:
-    """Dataset rows and fit residuals sorted by one ordering column.
+    """One ordering column's sort and running sums.
 
-    `perm` is the stable sort permutation of the column; the two sorted
-    arrays are read-only and share no memory with the dataset or the fit.
+    `perm` is the stable sort permutation of the column and
+    `sorted_column` the column in that order.  `sums` is (n + 1, 1 + p):
+    row k is the sum of (residual, regressor row) over the first k sorted
+    rows, taken to the end of k's tie block.  All three are read-only and
+    share no memory with the dataset or the fit.
     """
 
     column: int
     perm: np.ndarray
-    sorted_regressors: np.ndarray
-    sorted_residuals: np.ndarray
+    sorted_column: np.ndarray
+    sums: np.ndarray
 
     @property
     def n(self) -> int:
@@ -37,18 +46,24 @@ class OrderedView:
 
 
 def order_by(data: Dataset, fit: FitResult, j: int) -> OrderedView:
-    """Sort the dataset rows and the fit's residuals by column j."""
+    """Sort the dataset by column j and cumulate residuals and rows along it."""
     if j not in data.order_columns:
         raise ValidationError(f"column {j} is not an ordering column")
     if fit.n != data.n:
         raise ValidationError("fit and dataset disagree on n")
-    perm = np.argsort(data.regressors[:, j], kind="stable")
-    # Fancy indexing returns fresh arrays: nothing to copy, only to freeze.
-    resid, sreg = fit.residuals[perm], data.regressors[perm]
-    for a in (perm, resid, sreg):
+    col = data.regressors[:, j]
+    perm = np.argsort(col, kind="stable")
+    scol = col[perm]
+    sums = np.zeros((data.n + 1, 1 + data.p))
+    np.take(fit.residuals, perm, out=sums[1:, 0])
+    np.take(data.regressors, perm, axis=0, out=sums[1:, 1:])
+    np.cumsum(sums[1:], axis=0, out=sums[1:])
+    if (scol[1:] == scol[:-1]).any():
+        # Block-end rule: node k reads the sum over every row <= its value.
+        sums[1:] = sums[np.searchsorted(scol, scol, side="right")]
+    for a in (perm, scol, sums):
         a.setflags(write=False)
-    return OrderedView(column=j, perm=perm, sorted_regressors=sreg,
-                       sorted_residuals=resid)
+    return OrderedView(column=j, perm=perm, sorted_column=scol, sums=sums)
 
 
 def all_orderings(data: Dataset, fit: FitResult) -> tuple[OrderedView, ...]:

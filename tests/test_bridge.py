@@ -64,7 +64,7 @@ class TestBridgeProcess:
         fit = rb.fit_lse(d)
         view = rb.order_by(d, fit, 0)
         b = rb.residual_bridge(view, fit.sigma2_hat)
-        manual = np.concatenate(([0.0], np.cumsum(view.sorted_residuals)))
+        manual = np.concatenate(([0.0], np.cumsum(fit.residuals[view.perm])))
         manual /= math.sqrt(40 * fit.sigma2_hat)
         assert np.allclose(b.values, manual, atol=1e-15)
         assert b.column == 0

@@ -193,6 +193,30 @@ class TestTestExitCodes:
                    "--response", "y", "--order-columns", "x1"])
         assert rc == EXIT_INPUT
 
+    def test_byte_order_mark_is_read_past(self, tmp_path):
+        # Spreadsheet programs save UTF-8 CSV with a leading BOM, which
+        # once became part of the first header name.
+        data_path = run_simulate(tmp_path)
+        rc, out = run_test(tmp_path, data_path)
+        plain = out.read_bytes()
+        bom_path = tmp_path / "bom.csv"
+        bom_path.write_bytes(b"\xef\xbb\xbf" + data_path.read_bytes())
+        rc, out = run_test(tmp_path, bom_path)
+        assert rc == EXIT_OK
+        assert out.read_bytes() == plain
+
+    def test_non_utf8_byte_is_input_error(self, tmp_path, capsys):
+        data_path = run_simulate(tmp_path, n=40)
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(data_path.read_bytes() + b"0.5,1,\xe9\n")
+        capsys.readouterr()
+        rc, out = run_test(tmp_path, bad)
+        err = capsys.readouterr().err
+        assert rc == EXIT_INPUT
+        assert err.startswith(f"error: {bad}: the file is not UTF-8 text")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_too_few_replicates_is_input_error(self, tmp_path):
         data_path = run_simulate(tmp_path, n=40)
         rc = main(["test", "--input", str(data_path), "--response", "y",

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import regbridge as rb
-from regbridge.covmodel import (AnalyticLorentz, GridLorentz, EmpiricalJointCDF,
-                                IndependenceFixture, ProductJointCDF)
+from regbridge.covmodel import IndependenceCovariance
 from regbridge.errors import (SingularDesignError, UnsupportedModelError,
                               ValidationError)
 from regbridge.limitsim import GridSpec
@@ -50,76 +49,74 @@ def khat_single_uniform(s, t):
 # Running-mean curves
 # ======================================================================
 
+def empirical_model(d):
+    fit = rb.fit_lse(d)
+    return rb.empirical_covariance(d, rb.all_orderings(d, fit), gram=fit.gram)
+
+
 class TestGridLorentz:
+    """The empirical running-mean curve on the nodes k/n."""
+
     def test_hand_example_nodes(self):
-        d = single_column_dataset([0.4, 0.2, 0.9])
-        view = rb.order_by(d, rb.fit_lse(d), 0)
-        lz = rb.estimate_lorentz(view)
-        assert lz.n == 3 and lz.p == 2
+        cov = empirical_model(single_column_dataset([0.4, 0.2, 0.9]))
+        assert cov.n == 3 and cov.curves[0].shape == (4, 2)
         expected = np.array([[0.0, 0.0],
                              [0.2 / 3, 1 / 3],
                              [0.6 / 3, 2 / 3],
                              [1.5 / 3, 1.0]])
-        assert np.allclose(lz.grid_values, expected, atol=1e-15)
-        assert np.allclose(lz.values([1 / 3, 2 / 3, 1.0]), expected[1:], atol=1e-15)
+        assert np.allclose(cov.curves[0], expected, atol=1e-15)
+        assert np.allclose(cov.curve(0, np.array([1 / 3, 2 / 3, 1.0])),
+                           expected[1:], atol=1e-15)
 
     def test_interpolates_between_nodes(self):
-        d = single_column_dataset([0.4, 0.2, 0.9])
-        lz = rb.estimate_lorentz(rb.order_by(d, rb.fit_lse(d), 0))
-        mid = lz.values(0.5)[0]
+        cov = empirical_model(single_column_dataset([0.4, 0.2, 0.9]))
+        mid = cov.curve(0, np.array([0.5]))[0]
         assert mid == pytest.approx([(0.2 / 3 + 0.2) / 2, 0.5], abs=1e-15)
 
-    def test_must_start_at_zero(self):
-        with pytest.raises(ValidationError):
-            GridLorentz(np.array([[0.1], [0.5]]))
-        with pytest.raises(ValidationError):
-            GridLorentz(np.zeros((1, 2)))
-
     def test_levels_outside_unit_interval(self):
-        lz = GridLorentz(np.array([[0.0], [1.0]]))
+        cov = empirical_model(single_column_dataset([0.4, 0.2, 0.9]))
         with pytest.raises(ValidationError):
-            lz.values(1.5)
+            cov.khat_grid(0, 0, [1.5], [0.5])
         with pytest.raises(ValidationError):
-            lz.values(-0.1)
+            cov.khat_grid(0, 0, [0.5], [-0.1])
 
     def test_converges_to_closed_form(self):
         # Sorted-uniform running mean approaches (t^2 / 2, t) at rate
         # O(1 / sqrt(n)); 0.02 leaves ample room at n = 10000.
-        d = rb.sample_h0(rb.fixtures.single_uniform_model(), 10_000, 11)
-        lz = rb.estimate_lorentz(rb.order_by(d, rb.fit_lse(d), 0))
+        cov = empirical_model(rb.sample_h0(rb.fixtures.single_uniform_model(),
+                                           10_000, 11))
         ts = np.linspace(0.0, 1.0, 21)
         target = np.column_stack([ts ** 2 / 2.0, ts])
-        assert np.max(np.abs(lz.values(ts) - target)) < 0.02
+        assert np.max(np.abs(cov.curve(0, ts) - target)) < 0.02
 
 
 class TestAnalyticLorentz:
+    """The closed-form running-mean curve of independent coordinates."""
+
     def test_single_uniform_curve(self):
-        fixture = IndependenceFixture(rb.fixtures.single_uniform_model().quantile_funcs)
-        lz = AnalyticLorentz(fixture, 0)
+        cov = IndependenceCovariance(rb.fixtures.single_uniform_model().quantile_funcs)
         ts = np.array([0.0, 0.25, 0.5, 1.0])
-        assert np.allclose(lz.values(ts), np.column_stack([ts ** 2 / 2, ts]),
+        assert np.allclose(cov.curve(0, ts), np.column_stack([ts ** 2 / 2, ts]),
                            atol=1e-15)
 
     def test_affine_curve(self):
         # q(u) = 2u - 1, so the partial integral is t^2 - t.
-        fixture = IndependenceFixture(rb.fixtures.affine_model().quantile_funcs)
-        lz = AnalyticLorentz(fixture, 0)
+        cov = IndependenceCovariance(rb.fixtures.affine_model().quantile_funcs)
         ts = np.array([0.2, 0.5, 0.9])
-        assert np.allclose(lz.values(ts)[:, 0], ts ** 2 - ts, atol=1e-12)
-        assert np.allclose(lz.values(ts)[:, 1], ts, atol=1e-15)
+        assert np.allclose(cov.curve(0, ts)[:, 0], ts ** 2 - ts, atol=1e-12)
+        assert np.allclose(cov.curve(0, ts)[:, 1], ts, atol=1e-15)
 
     def test_unconditioned_slot_is_linear(self):
-        fixture = IndependenceFixture(rb.fixtures.two_uniform_model().quantile_funcs)
-        lz = AnalyticLorentz(fixture, 1)
+        cov = IndependenceCovariance(rb.fixtures.two_uniform_model().quantile_funcs)
         ts = np.array([0.3, 0.8])
         # Slot 0 integrates its mean 1/2; slot 1 carries the conditioning.
-        assert np.allclose(lz.values(ts)[:, 0], 0.5 * ts, atol=1e-15)
-        assert np.allclose(lz.values(ts)[:, 1], ts ** 2 / 2, atol=1e-15)
+        assert np.allclose(cov.curve(1, ts)[:, 0], 0.5 * ts, atol=1e-15)
+        assert np.allclose(cov.curve(1, ts)[:, 1], ts ** 2 / 2, atol=1e-15)
 
     def test_domain_check(self):
-        lz = AnalyticLorentz(rb.fixtures.intercept_only_fixture(), 0)
+        cov = rb.fixtures.pinned_bridge_covariance()
         with pytest.raises(ValidationError):
-            lz.values([0.5, 2.0])
+            cov.khat_grid(0, 0, [0.5, 2.0], [0.5])
 
 
 # ======================================================================
@@ -127,31 +124,33 @@ class TestAnalyticLorentz:
 # ======================================================================
 
 class TestIndependenceFixture:
+    """Closed-form moments of `IndependenceCovariance`."""
+
     def test_two_uniform_moments(self):
-        fixture = IndependenceFixture(rb.fixtures.two_uniform_model().quantile_funcs)
-        assert np.allclose(fixture.h(0, 0.7), [0.7, 0.5, 1.0], atol=1e-12)
-        assert np.allclose(fixture.b2(0, 0.7), np.diag([0.0, 1 / 12, 0.0]),
+        cov = IndependenceCovariance(rb.fixtures.two_uniform_model().quantile_funcs)
+        assert np.allclose(cov.h(0, 0.7), [0.7, 0.5, 1.0], atol=1e-12)
+        assert np.allclose(cov.b2(0, 0.7), np.diag([0.0, 1 / 12, 0.0]),
                            atol=1e-12)
         expected_gram = np.array([[1 / 3, 1 / 4, 1 / 2],
                                   [1 / 4, 1 / 3, 1 / 2],
                                   [1 / 2, 1 / 2, 1.0]])
-        assert np.allclose(fixture.gram(), expected_gram, atol=1e-12)
+        assert np.allclose(cov.gram(), expected_gram, atol=1e-12)
 
     def test_intercept_only_degenerates(self):
-        fixture = rb.fixtures.intercept_only_fixture()
-        assert fixture.d == 0 and fixture.p == 1
-        assert np.allclose(fixture.h(0, 0.3), [1.0])
-        assert np.allclose(fixture.b2(0, 0.3), [[0.0]])
-        assert np.allclose(fixture.gram(), [[1.0]])
-        assert np.allclose(fixture.lorentz(0, np.array([0.25, 1.0])),
-                           [[0.25], [1.0]])
+        cov = rb.fixtures.pinned_bridge_covariance()
+        assert cov.quantiles == () and cov.p == 1 and cov.columns == (0,)
+        assert np.allclose(cov.h(0, 0.3), [1.0])
+        assert np.allclose(cov.b2(0, 0.3), [[0.0]])
+        assert np.allclose(cov.gram(), [[1.0]])
+        assert np.allclose(cov.curve(0, np.array([0.25, 1.0])), [[0.25], [1.0]])
+        assert cov.gram_inv.tobytes() == np.eye(1).tobytes()
 
     def test_slot_bounds(self):
-        fixture = IndependenceFixture(rb.fixtures.single_uniform_model().quantile_funcs)
+        cov = IndependenceCovariance(rb.fixtures.single_uniform_model().quantile_funcs)
         with pytest.raises(ValidationError):
-            fixture.h(1, 0.5)
+            cov.h(1, 0.5)
         with pytest.raises(ValidationError):
-            fixture.lorentz(-1, np.array([0.5]))
+            cov.b2(-1, 0.5)
 
 
 # ======================================================================
@@ -159,44 +158,62 @@ class TestIndependenceFixture:
 # ======================================================================
 
 class TestProductJointCDF:
+    """The pairwise cdf of independent coordinates."""
+
     def test_diagonal_is_min(self):
-        joint = ProductJointCDF()
-        assert joint.cdf_grid(0, 0, [0.3], [0.7])[0, 0] == pytest.approx(0.3)
-        assert joint.cdf_grid(1, 1, [0.9], [0.4])[0, 0] == pytest.approx(0.4)
+        cov = rb.analytic_covariance(rb.fixtures.two_uniform_model())
+        assert cov.cdf_grid(0, 0, [0.3], [0.7])[0, 0] == pytest.approx(0.3)
+        assert cov.cdf_grid(1, 1, [0.9], [0.4])[0, 0] == pytest.approx(0.4)
 
     def test_off_diagonal_is_product(self):
-        joint = ProductJointCDF()
-        assert joint.cdf_grid(0, 1, [0.3], [0.7])[0, 0] == pytest.approx(0.21)
-        grid = joint.cdf_grid(0, 1, [0.5, 1.0], [0.2, 0.4, 1.0])
+        cov = rb.analytic_covariance(rb.fixtures.two_uniform_model())
+        assert cov.cdf_grid(0, 1, [0.3], [0.7])[0, 0] == pytest.approx(0.21)
+        grid = cov.cdf_grid(0, 1, [0.5, 1.0], [0.2, 0.4, 1.0])
         assert grid.shape == (2, 3)
         assert np.allclose(grid, np.outer([0.5, 1.0], [0.2, 0.4, 1.0]))
 
 
-def dense_cdf_grid(joint, i, j, svals, tvals):
+def columns_covariance(cols):
+    """Empirical model of the ordering columns `cols`, plus an intercept.
+
+    The Gram matrix is the identity, so that every draw is invertible;
+    the kernel code never relies on which Gram it is given.
+    """
+    d, n = len(cols), len(cols[0])
+    reg = np.column_stack(list(cols) + [np.ones(n)])
+    data = rb.Dataset(regressors=reg, response=np.zeros(n),
+                      order_columns=tuple(range(d)), intercept_column=d)
+    fit = exact_fit(data, np.zeros(d + 1))
+    return rb.empirical_covariance(data, rb.all_orderings(data, fit),
+                                   gram=np.eye(d + 1))
+
+
+def dense_cdf_grid(cov, i, j, svals, tvals):
     """Reference: product of the dense (levels, n) 0/1 indicator matrices."""
     def indicators(slot, levels):
-        counts = rb.floor_index(joint.n, np.asarray(levels, dtype=float))
-        out = np.zeros((len(levels), joint.n))
+        counts = rb.floor_index(cov.n, np.asarray(levels, dtype=float))
+        out = np.zeros((len(levels), cov.n))
         nz = counts > 0
-        thresholds = joint.sorted_columns[slot][counts[nz] - 1]
-        out[nz] = joint.columns[slot][None, :] <= thresholds[:, None]
+        thresholds = np.sort(cov.values[slot])[counts[nz] - 1]
+        out[nz] = cov.values[slot][None, :] <= thresholds[:, None]
         return out
 
-    return (indicators(i, svals) @ indicators(j, tvals).T) / joint.n
+    return (indicators(i, svals) @ indicators(j, tvals).T) / cov.n
+
+
+def column_lists(n):
+    """n values, either 5-level or tie-free."""
+    return st.one_of(
+        st.lists(st.integers(0, 4).map(float), min_size=n, max_size=n),
+        st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=n,
+                 max_size=n, unique=True))
 
 
 @st.composite
-def two_column_joints(draw):
-    """Two ordering columns of one length, either 5-level or tie-free."""
+def two_column_covariances(draw):
+    """Two ordering columns of one length, each either 5-level or tie-free."""
     n = draw(st.integers(1, 40))
-    if draw(st.booleans()):
-        values = st.lists(st.integers(0, 4).map(float), min_size=n, max_size=n)
-    else:
-        values = st.lists(st.floats(-1e6, 1e6, allow_nan=False),
-                          min_size=n, max_size=n, unique=True)
-    cols = (np.array(draw(values)), np.array(draw(values)))
-    return EmpiricalJointCDF(columns=cols,
-                             sorted_columns=tuple(np.sort(c) for c in cols))
+    return columns_covariance([draw(column_lists(n)) for _ in range(2)])
 
 
 LEVEL_LISTS = st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
@@ -204,53 +221,47 @@ LEVEL_LISTS = st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0
 
 
 class TestEmpiricalJointCDF:
-    def make_joint(self):
-        x = np.array([0.1, 0.5, 0.9, 0.7])
-        y = np.array([0.8, 0.2, 0.3, 0.6])
-        return EmpiricalJointCDF(columns=(x, y),
-                                 sorted_columns=(np.sort(x), np.sort(y)))
+    """The rank-based pairwise cdf estimate."""
+
+    def make_cov(self):
+        return columns_covariance([[0.1, 0.5, 0.9, 0.7], [0.8, 0.2, 0.3, 0.6]])
 
     def test_hand_count(self):
         # At (1/2, 1/2) the thresholds are the 2nd order statistics 0.5
         # and 0.3; only the row (0.5, 0.2) is below both.
-        joint = self.make_joint()
-        assert joint.cdf_grid(0, 1, [0.5], [0.5])[0, 0] == pytest.approx(0.25)
+        cov = self.make_cov()
+        assert cov.cdf_grid(0, 1, [0.5], [0.5])[0, 0] == pytest.approx(0.25)
 
     def test_boundary_levels(self):
-        joint = self.make_joint()
-        assert joint.cdf_grid(0, 1, [0.0], [0.8])[0, 0] == 0.0
-        assert joint.cdf_grid(0, 1, [1.0], [1.0])[0, 0] == pytest.approx(1.0)
+        cov = self.make_cov()
+        assert cov.cdf_grid(0, 1, [0.0], [0.8])[0, 0] == 0.0
+        assert cov.cdf_grid(0, 1, [1.0], [1.0])[0, 0] == pytest.approx(1.0)
 
     def test_diagonal_matches_floor_counts(self):
-        joint = self.make_joint()
+        cov = self.make_cov()
         for t in (0.25, 0.5, 0.75, 1.0):
-            assert joint.cdf_grid(0, 0, [t], [t])[0, 0] == pytest.approx(
+            assert cov.cdf_grid(0, 0, [t], [t])[0, 0] == pytest.approx(
                 rb.floor_index(4, t) / 4)
 
     def test_converges_to_product_under_independence(self):
-        d = rb.sample_h0(rb.fixtures.two_uniform_model(), 10_000, 12)
-        fit = rb.fit_lse(d)
-        joint = rb.empirical_covariance(
-            d, rb.all_orderings(d, fit), gram=fit.gram).joint
+        cov = empirical_model(rb.sample_h0(rb.fixtures.two_uniform_model(),
+                                           10_000, 12))
         levels = np.linspace(0.1, 1.0, 10)
         grid = np.empty((10, 10))
         for a, s in enumerate(levels):
             for b, t in enumerate(levels):
-                grid[a, b] = joint.cdf_grid(0, 1, [s], [t])[0, 0]
+                grid[a, b] = cov.cdf_grid(0, 1, [s], [t])[0, 0]
         assert np.max(np.abs(grid - np.outer(levels, levels))) < 0.03
 
-    @given(joint=two_column_joints(), svals=LEVEL_LISTS, tvals=LEVEL_LISTS)
-    @example(joint=EmpiricalJointCDF(
-                 columns=(np.array([2.0, 0.0, 2.0, 1.0, 0.0]),
-                          np.array([0.3, 0.1, 0.5, 0.2, 0.4])),
-                 sorted_columns=(np.array([0.0, 0.0, 1.0, 2.0, 2.0]),
-                                 np.array([0.1, 0.2, 0.3, 0.4, 0.5]))),
+    @given(cov=two_column_covariances(), svals=LEVEL_LISTS, tvals=LEVEL_LISTS)
+    @example(cov=columns_covariance([[2.0, 0.0, 2.0, 1.0, 0.0],
+                                     [0.3, 0.1, 0.5, 0.2, 0.4]]),
              svals=[0.6, 0.0, 1.0, 0.2], tvals=[1.0, 0.4, 0.0])
-    def test_matches_dense_indicator_product(self, joint, svals, tvals):
+    def test_matches_dense_indicator_product(self, cov, svals, tvals):
         for i in range(2):
             for j in range(2):
-                assert np.array_equal(joint.cdf_grid(i, j, svals, tvals),
-                                      dense_cdf_grid(joint, i, j, svals, tvals))
+                assert np.array_equal(cov.cdf_grid(i, j, svals, tvals),
+                                      dense_cdf_grid(cov, i, j, svals, tvals))
 
     def test_kernel_memory_is_linear_in_n(self):
         # Every khat_grid block of a two-slot design at n = 10^5, m = 100.
@@ -273,28 +284,11 @@ class TestEmpiricalJointCDF:
 
 @st.composite
 def ordering_covariances(draw):
-    """Empirical covariance model of d = 1..3 tied or tie-free columns.
-
-    Tied columns take 5 levels, tie-free ones distinct floats.  The Gram
-    matrix is the data's plus the identity, so that every draw is
-    invertible; the kernel code never relies on which Gram it is given.
-    """
+    """Empirical covariance model of d = 1..3 tied or tie-free columns."""
     d = draw(st.integers(1, 3))
     n = draw(st.integers(2, 40))
-    cols = []
-    for _ in range(d):
-        if draw(st.booleans()):
-            values = st.lists(st.integers(0, 4).map(float), min_size=n, max_size=n)
-        else:
-            values = st.lists(st.floats(-1e3, 1e3, allow_nan=False),
-                              min_size=n, max_size=n, unique=True)
-        cols.append(draw(values))
-    reg = np.column_stack(cols + [np.ones(n)])
-    data = rb.Dataset(regressors=reg, response=np.zeros(n),
-                      order_columns=tuple(range(d)), intercept_column=d)
-    fit = exact_fit(data, np.zeros(d + 1))
-    return data, rb.empirical_covariance(data, rb.all_orderings(data, fit),
-                                         gram=fit.gram + np.eye(d + 1))
+    cols = [draw(column_lists(n)) for _ in range(d)]
+    return cols, columns_covariance(cols)
 
 
 def khat_grid_twice(cov, i, j, svals, tvals):
@@ -304,9 +298,9 @@ def khat_grid_twice(cov, i, j, svals, tvals):
     """
     svals = np.atleast_1d(np.asarray(svals, dtype=float))
     tvals = np.array(tvals, dtype=float, ndmin=1)
-    li = cov.lorentz[i].values(svals)
-    lj = cov.lorentz[j].values(tvals)
-    return cov.joint.cdf_grid(i, j, svals, tvals) - li @ cov.gram_inv @ lj.T
+    li = cov.curve(i, svals)
+    lj = cov.curve(j, tvals)
+    return cov.cdf_grid(i, j, svals, tvals) - li @ cov.gram_inv @ lj.T
 
 
 class TestSharedKernelIngredients:
@@ -325,11 +319,11 @@ class TestSharedKernelIngredients:
 
     @given(case=ordering_covariances())
     def test_sorted_columns_come_from_the_views(self, case):
-        data, cov = case
-        for k, j in enumerate(data.order_columns):
-            srt = cov.joint.sorted_columns[k]
+        cols, cov = case
+        for k, col in enumerate(cols):
+            srt = cov.sorted_values[k]
             assert srt.flags.c_contiguous
-            assert np.array_equal(srt, np.sort(data.regressors[:, j]))
+            assert np.array_equal(srt, np.sort(col))
 
 
 # ======================================================================

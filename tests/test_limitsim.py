@@ -1,6 +1,7 @@
 """Grid law of the limiting statistic: exact tail, quantiles and p-value,
 and its Monte Carlo sample."""
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -626,6 +627,36 @@ class TestExactLaw:
                          0.0, x / w2, limit=400, epsabs=1e-14, epsrel=1e-13)
         assert err < 1e-13
         assert abs(got - (head + chi2.sf(x / w2, small))) <= 1e-12
+
+    def test_overflowed_rules_are_no_deep_tail(self):
+        # Five large weights beside 1,600 small ones, read far below the
+        # mean: both Talbot rules overflow, to about -1.7e278 and -7e190,
+        # which once passed as a tail below 1e-100.  The tail is 1: every
+        # one of 20,000 Monte Carlo draws exceeded 6.03.  No RuntimeWarning
+        # may reach the caller on the way.
+        w = np.concatenate([[1.0, 0.9, 0.8, 0.7, 0.6], np.full(1600, 1 / 250)])
+        null = law(w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for share in (0.05, 0.3):
+                assert abs(null.sf(share * w.sum()) - 1.0) <= 1e-10
+            assert np.allclose(null.sf([0.52, 3.0]), 1.0, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("x", [0.02, 0.05])
+    def test_overflowed_rules_beside_one_large_weight(self, x):
+        # One weight 9,562 times each of 342 equal ones: the rules
+        # overflow at both points, where 1.0 and 2.2e-308 were once
+        # returned.  The reference is that of `test_long_gil_pelaez_sums`.
+        from scipy.integrate import quad
+        from scipy.stats import chi2
+
+        ratio, small = 9562.0, 342
+        w1, w2 = ratio / (ratio + small), 1.0 / (ratio + small)
+        head, err = quad(lambda z: chi2.pdf(z, small) * chi2.sf((x - w2 * z) / w1, 1),
+                         0.0, x / w2, limit=400, epsabs=1e-14, epsrel=1e-13)
+        assert err < 1e-13
+        got = law(np.array([w1] + [w2] * small)).sf(x)
+        assert abs(got - (head + chi2.sf(x / w2, small))) <= 1e-10
 
     def test_unchecked_tail_is_refused(self):
         # Past the longest Gil-Pelaez sum no inversion passes its check,

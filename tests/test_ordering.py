@@ -1,7 +1,8 @@
-"""Ordering views: stable sorting, role checks, degenerate sizes."""
+"""Ordering views: stable sorting, running sums, tie blocks, role checks."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import regbridge as rb
 from regbridge.errors import ValidationError
@@ -20,16 +21,17 @@ class TestOrderBy:
         fit = rb.fit_lse(d)
         for j in (0, 1):
             v = rb.order_by(d, fit, j)
-            col = v.sorted_regressors[:, j]
-            assert np.all(np.diff(col) >= 0)
-            assert np.array_equal(v.sorted_regressors, d.regressors[v.perm])
-            assert np.array_equal(v.sorted_residuals, fit.residuals[v.perm])
+            assert np.all(np.diff(v.sorted_column) >= 0)
+            assert np.array_equal(v.sorted_column, d.regressors[v.perm, j])
+            rows = np.column_stack([fit.residuals, d.regressors])[v.perm]
+            assert np.array_equal(v.sums, np.vstack([np.zeros((1, 4)),
+                                                     np.cumsum(rows, axis=0)]))
 
     def test_view_arrays_are_read_only_and_own_their_memory(self):
         d = rb.sample_h0(rb.fixtures.two_uniform_model(), 64, 4)
         fit = rb.fit_lse(d)
         for v in rb.all_orderings(d, fit):
-            for a in (v.sorted_regressors, v.sorted_residuals):
+            for a in (v.perm, v.sorted_column, v.sums):
                 assert not a.flags.writeable
                 for source in (d.regressors, d.response, fit.residuals):
                     assert not np.shares_memory(a, source)
@@ -82,3 +84,93 @@ class TestAllOrderings:
         views = rb.all_orderings(d, rb.fit_lse(d))
         for v in views:
             assert np.array_equal(np.sort(v.perm), np.arange(d.n))
+
+
+# ======================================================================
+# Tied ordering values
+# ======================================================================
+
+def discrete_dataset(rng, n, levels, slope=0.5):
+    """y = 1 + slope * x + N(0, 1), x uniform on `levels` equally spaced values."""
+    x = rng.integers(0, levels, n).astype(float)
+    X = np.column_stack([x, np.ones(n)])
+    return rb.Dataset(X, 1.0 + slope * x + rng.standard_normal(n), (0,), 1)
+
+
+@st.composite
+def designs(draw):
+    """d = 1 or 2 ordering columns, each 3- to 6-level or continuous, with
+    an intercept and a response that the columns explain in part."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(20, 80))
+    cols = []
+    for _ in range(draw(st.integers(1, 2))):
+        levels = draw(st.one_of(st.none(), st.integers(3, 6)))
+        cols.append(rng.random(n) if levels is None
+                    else rng.integers(0, levels, n).astype(float))
+    X = np.column_stack(cols + [np.ones(n)])
+    y = X @ rng.normal(size=X.shape[1]) + rng.standard_normal(n)
+    return rb.Dataset(X, y, tuple(range(len(cols))), len(cols)), rng
+
+
+def statistic_and_p(data):
+    res = rb.run_adequacy_test(data, grid_m=20, replicates=100)
+    return res.statistic, res.p_value
+
+
+class TestTiedValues:
+    def test_block_end_sums(self):
+        # Sorted values 0.1 | 0.2 0.2 | 0.5 0.5: nodes 2 and 4 sit inside
+        # a tie block and take the sum to its end.
+        d = dataset_with_ties()
+        v = rb.order_by(d, rb.fit_lse(d), 0)
+        assert np.allclose(v.sums[:, 1], [0.0, 0.1, 0.5, 0.5, 1.5, 1.5],
+                           rtol=0.0, atol=1e-15)
+        assert np.array_equal(v.sums[:, 2], [0, 1, 3, 3, 5, 5])
+        b = rb.residual_bridge(v, rb.fit_lse(d).sigma2_hat)
+        assert b.values[2] == b.values[3] and b.values[4] == b.values[5]
+
+    @given(case=designs())
+    @settings(max_examples=25, deadline=None)
+    def test_row_order_does_not_matter(self, case):
+        data, rng = case
+        perm = rng.permutation(data.n)
+        shuffled = rb.Dataset(data.regressors[perm], data.response[perm],
+                              data.order_columns, data.intercept_column)
+        (s0, p0), (s1, p1) = statistic_and_p(data), statistic_and_p(shuffled)
+        assert s1 == pytest.approx(s0, rel=1e-9, abs=1e-12)
+        assert abs(p1 - p0) <= 1e-8
+
+    @given(case=designs(), scale=st.floats(0.1, 10.0), shift=st.floats(-10.0, 10.0))
+    @settings(max_examples=25, deadline=None)
+    def test_increasing_affine_map_does_not_matter(self, case, scale, shift):
+        # With an intercept the residuals, the ranks and L G^-1 L' are all
+        # unchanged by x -> scale * x + shift.
+        data, _ = case
+        X = data.regressors.copy()
+        X[:, 0] = scale * X[:, 0] + shift
+        assume(np.array_equal(np.argsort(X[:, 0], kind="stable"),
+                              np.argsort(data.regressors[:, 0], kind="stable")))
+        assume(np.unique(X[:, 0]).size == np.unique(data.regressors[:, 0]).size)
+        moved = rb.Dataset(X, data.response, data.order_columns,
+                           data.intercept_column)
+        (s0, p0), (s1, p1) = statistic_and_p(data), statistic_and_p(moved)
+        assert s1 == pytest.approx(s0, rel=1e-8, abs=1e-12)
+        assert abs(p1 - p0) <= 1e-7
+
+    @given(case=designs())
+    @settings(max_examples=25, deadline=None)
+    def test_bridge_pinned_with_intercept(self, case):
+        data, _ = case
+        fit = rb.fit_lse(data)
+        for v in rb.all_orderings(data, fit):
+            assert abs(rb.residual_bridge(v, fit.sigma2_hat).values[-1]) < 1e-9
+
+    def test_size_on_a_discrete_regressor(self):
+        # Five levels at n = 300: criterion 9's band at level 0.05 over
+        # 1,000 null datasets.  Row order inside a tie block once set the
+        # bridge, and this design rejected 0 of 300.
+        rng = np.random.default_rng(20261019)
+        rejections = sum(rb.run_adequacy_test(discrete_dataset(rng, 300, 5)).reject
+                         for _ in range(1000))
+        assert 0.035 <= rejections / 1000 <= 0.065

@@ -1,4 +1,4 @@
-"""The README's quick-start and library example run as printed."""
+"""The README's quick-start, library example and planted breach run as printed."""
 
 import json
 import shlex
@@ -57,3 +57,15 @@ def test_library_example_prints_the_cli_p_value(quick_start, capsys):
     report = json.loads(quick_start)
     assert float(p_value) == report["p_value"]
     assert reject == str(report["reject"])
+
+
+def test_planted_breach_is_rejected(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    block = next(b for b in code_blocks("sh") if "bad.csv" in b)
+    simulate, test = shell_commands(block)
+    assert simulate[:2] == ["regbridge", "simulate"]
+    assert test[:2] == ["regbridge", "test"]
+    assert main(simulate[1:]) == EXIT_OK
+    capsys.readouterr()
+    assert main(test[1:]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["reject"] is True
