@@ -30,15 +30,22 @@ __all__ = [
 ]
 
 
+def check_levels(t, message: str = "levels must lie in [0, 1]") -> np.ndarray:
+    """t as a float array; raises ValidationError(message) unless every
+    entry lies in [0, 1], so NaN is refused too."""
+    t = np.asarray(t, dtype=float)
+    if not np.all((t >= 0.0) & (t <= 1.0)):
+        raise ValidationError(message)
+    return t
+
+
 def floor_index(n: int, t) -> np.ndarray:
     """Count of order statistics at or below level t: the [nt] convention.
 
     A small forward nudge keeps products like 0.3 * 10 from landing one
     step low through floating-point rounding.
     """
-    t = np.asarray(t, dtype=float)
-    if (t < 0.0).any() or (t > 1.0).any():
-        raise ValidationError("grid levels must lie in [0, 1]")
+    t = check_levels(t, "grid levels must lie in [0, 1]")
     return np.minimum(np.maximum(np.floor(n * t + 1e-9).astype(int), 0), n)
 
 
@@ -93,9 +100,7 @@ def residual_bridge(view: OrderedView, sigma2_hat: float) -> BridgeProcess:
 
 def evaluate(bridge: BridgeProcess, t):
     """Linear interpolation of the bridge at t in [0, 1] (scalar or array)."""
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0) or np.any(t_arr > 1.0):
-        raise ValidationError("evaluation points must lie in [0, 1]")
+    t_arr = check_levels(t, "evaluation points must lie in [0, 1]")
     out = np.interp(t_arr, bridge.nodes(), bridge.values)
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 

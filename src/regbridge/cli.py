@@ -200,6 +200,10 @@ def cmd_test(args) -> int:
               file=sys.stderr)
     schema = ColumnSchema(order=_parse_columns(args.order_columns),
                           response=args.response, intercept=intercept)
+    for name in schema.order if args.emit_bridges else ():
+        if os.sep in name or (os.altsep and os.altsep in name):
+            raise ValidationError(f"--emit-bridges: ordering column {name!r} "
+                                  "holds a path separator")
     data = load_csv(args.input, schema)
     try:
         result = run_adequacy_test(data, grid_m=args.grid,

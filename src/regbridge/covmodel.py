@@ -13,8 +13,10 @@ come in two forms: `EmpiricalCovariance` estimates them from a dataset,
 and `IndependenceCovariance` is the closed form for independent uniform
 coordinates through affine margins.
 
-The empirical L is each ordering's table of running sums (see
-`ordering`), divided by n, so it groups tied rows as the bridge does.
+The empirical L and C are read at the bridge's nodes [nt], L in place
+from each ordering's table of running sums (see `ordering`).  So ties
+group as in the bridge, and the grid matrix is (1/n) A (I - H) A', for A
+the 0/1 matrix of rows at or below each level and H the hat matrix: PSD.
 The empirical C on an m_s x m_t grid of levels comes from one histogram
 of bucket pairs, not from (m, n) indicator matrices: each row falls in
 the bucket of the first level whose order-statistic threshold it is at
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bridge import floor_index
+from .bridge import check_levels, floor_index
 from .dataset import (AffineQuantile, Dataset, IndependenceCopula,
                       SyntheticModel)
 from .errors import SingularDesignError, UnsupportedModelError, ValidationError
@@ -44,13 +46,6 @@ __all__ = [
 ]
 
 _QUAD_TOL = 1e-11
-
-
-def _levels(t) -> np.ndarray:
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if (t < 0.0).any() or (t > 1.0).any():
-        raise ValidationError("levels must lie in [0, 1]")
-    return t
 
 
 def _spd_inverse(G: np.ndarray) -> np.ndarray:
@@ -88,11 +83,11 @@ class CovarianceModel:
         """Kernel values between slots i and j on a grid, shape (len(s), len(t))."""
         self._check_slot(i)
         self._check_slot(j)
-        svals = _levels(svals)
+        svals = np.atleast_1d(check_levels(svals))
         # A diagonal block on equal levels: one curve evaluation, and
         # `cdf_grid` sees the same array twice and ranks it once.
         shared = i == j and np.array_equal(svals, tvals)
-        tvals = svals if shared else _levels(tvals)
+        tvals = svals if shared else np.atleast_1d(check_levels(tvals))
         li = self.curve(i, svals)
         lj = li if shared else self.curve(j, tvals)
         return self.cdf_grid(i, j, svals, tvals) - li @ self.gram_inv @ lj.T
@@ -104,10 +99,9 @@ class CovarianceModel:
 class EmpiricalCovariance(CovarianceModel):
     """Kernel ingredients estimated from one dataset.
 
-    `curves[slot]` is the (n + 1, p) running mean of the regressor rows
-    at the nodes k/n, read between nodes by linear interpolation.
-    `values[slot]` and `sorted_values[slot]` are the slot's ordering
-    column in row order and sorted.
+    `views[slot]` is the slot's `OrderedView` and `values[slot]` its
+    ordering column in row order.  The running mean at level t is the
+    view's regressor sums at node [nt], divided by n.
 
     The (s, t) cell of `cdf_grid` counts rows whose slot-i value is at
     most the [ns]-th order statistic of slot i and whose slot-j value is
@@ -128,32 +122,28 @@ class EmpiricalCovariance(CovarianceModel):
     integer count divided by n.
     """
 
-    def __init__(self, columns, gram, curves, values, sorted_values):
+    def __init__(self, columns, gram, views, values):
         super().__init__(columns, gram)
-        self.curves = tuple(curves)
+        self.views = tuple(views)
         self.values = tuple(values)
-        self.sorted_values = tuple(sorted_values)
 
     @property
     def n(self) -> int:
         return self.values[0].shape[0]
 
     def curve(self, slot: int, t: np.ndarray) -> np.ndarray:
-        pos = t * self.n
-        i0 = np.minimum(np.maximum(np.floor(pos).astype(int), 0), self.n - 1)
-        w = (pos - i0)[:, None]
-        gv = self.curves[slot]
-        return (1.0 - w) * gv[i0] + w * gv[i0 + 1]
+        return self.views[slot].sums[floor_index(self.n, t), 1:] / self.n
 
     def _thresholds(self, slot: int, levels) -> np.ndarray:
         """The [n * level]-th order statistic of the slot's column, -inf at 0."""
-        counts = floor_index(self.n, np.atleast_1d(np.asarray(levels, dtype=float)))
-        return np.where(counts > 0, self.sorted_values[slot][counts - 1], -np.inf)
+        counts = floor_index(self.n, np.atleast_1d(levels))
+        return np.where(counts > 0, self.views[slot].sorted_column[counts - 1],
+                        -np.inf)
 
     def cdf_grid(self, i: int, j: int, svals, tvals) -> np.ndarray:
         ts = self._thresholds(i, svals)
         if i == j:
-            srt = self.sorted_values[i]
+            srt = self.views[i].sorted_column
             cs = np.searchsorted(srt, ts, side="right")
             ct = cs if tvals is svals else np.searchsorted(
                 srt, self._thresholds(j, tvals), side="right")
@@ -235,10 +225,8 @@ def empirical_covariance(data: Dataset, views: tuple[OrderedView, ...],
     if tuple(v.column for v in views) != data.order_columns:
         raise ValidationError("views must cover order_columns in order")
     return EmpiricalCovariance(
-        data.order_columns, gram,
-        curves=tuple(v.sums[:, 1:] / v.n for v in views),
-        values=tuple(data.regressors[:, j] for j in data.order_columns),
-        sorted_values=tuple(v.sorted_column for v in views))
+        data.order_columns, gram, views,
+        values=tuple(data.regressors[:, j] for j in data.order_columns))
 
 
 def analytic_covariance(model: SyntheticModel) -> IndependenceCovariance:

@@ -174,7 +174,8 @@ def load_csv(path, schema: ColumnSchema) -> Dataset:
     columns keep the order they have in the file.  Columns not named by
     the schema are ignored.  Raises :class:`SchemaError` for missing or
     duplicated header names and :class:`ParseError` for bytes that are
-    not UTF-8 and for cells that are not finite numbers.
+    not UTF-8, for text the CSV reader refuses (such as a cell over its
+    field size limit) and for cells that are not finite numbers.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -212,6 +213,8 @@ def load_csv(path, schema: ColumnSchema) -> Dataset:
                 resp_rows.append(_parse_cell(path, lineno, header[resp_pos], row[resp_pos]))
     except UnicodeDecodeError:
         raise ParseError(f"{path}: the file is not UTF-8 text") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
 
     regressors = np.array(reg_rows, dtype=float).reshape(len(reg_rows), len(keep))
     response = np.array(resp_rows, dtype=float)

@@ -23,10 +23,9 @@ Monte Carlo sample of the same law is drawn only when it is read.
 
 Clipping is not defensive rounding: with an intercept the kernel is
 exactly degenerate at t = 1, so the grid matrix always has an eigenvalue
-at numerical zero that must not leak into the law.  Kernels estimated
-from data bring a second source of clipping: the plug-in matrix is
-mildly indefinite at small n, and its negative eigenvalues carry no
-probability mass in the limit.
+at numerical zero that must not leak into the law.  A kernel estimated
+from data is positive semidefinite by construction (see `covmodel`): it
+adds zeros once the grid outnumbers the n - p residual dimensions.
 """
 
 from __future__ import annotations
@@ -356,10 +355,10 @@ def build_grid_covariance(cov: CovarianceModel, grid: GridSpec) -> np.ndarray:
 def factor_psd(matrix: np.ndarray) -> NullSpectrum:
     """Eigenvalues of a symmetric matrix, those below `CLIP_FLOOR` set to zero.
 
-    Clipping serves both callers: analytic kernels carry an exact zero
-    eigenvalue at the pinned endpoint (plus roundoff negatives), and
-    kernels estimated from data are mildly indefinite at small n.  Both
-    kinds are replaced by zero and counted in ``clip_count``.  For input
+    Analytic and estimated kernels carry an exact zero eigenvalue at the
+    pinned endpoint, and an estimated one more zeros where the grid
+    outnumbers the n - p residual dimensions; these and the roundoff
+    negatives are replaced by zero and counted in ``clip_count``.  For input
     that is positive semidefinite up to roundoff, V diag(weights) V' with
     V the eigenvectors satisfies max|V diag(weights) V' - M| <= CLIP_FLOOR
     + 1e-9 * max|M|.

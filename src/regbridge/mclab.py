@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adequacy import run_adequacy_test
-from .bridge import evaluate, floor_index, residual_bridge
+from .bridge import check_levels, evaluate, floor_index, residual_bridge
 from .covmodel import analytic_covariance
 from .dataset import (IndependenceCopula, SyntheticModel, sample_alternative,
                       sample_concomitant, sample_h0)
@@ -276,8 +276,7 @@ def verify_field_covariance(model: SyntheticModel, n: int, replicates: int,
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     if queries.shape[1] != model.d1:
         raise ValidationError("query dimension must match the model")
-    if np.any(queries < 0.0) or np.any(queries > 1.0):
-        raise ValidationError("queries must lie in the unit cube")
+    check_levels(queries, "queries must lie in the unit cube")
 
     centers = np.array([_box_integral(model.cond_mean, u) for u in queries])
     mean_boxes = {tuple(u): c for u, c in zip(queries, centers)}
@@ -311,9 +310,7 @@ def verify_sum_covariance(model: SyntheticModel, n: int, replicates: int,
     _require_conditional(model)
     _require_independence(model, "coordinate sum process")
     _probe_zero_mean(model)
-    levels = np.atleast_1d(np.asarray(levels, dtype=float))
-    if np.any(levels < 0.0) or np.any(levels > 1.0):
-        raise ValidationError("levels must lie in [0, 1]")
+    levels = np.atleast_1d(check_levels(levels))
     d = model.d1
     nl = levels.shape[0]
 
@@ -345,9 +342,7 @@ def verify_bridge_covariance(model: SyntheticModel, n: int, replicates: int,
     if model.theta is None:
         raise ValidationError("bridge experiment needs a regression model (theta)")
     cov = analytic_covariance(model)
-    levels = np.atleast_1d(np.asarray(levels, dtype=float))
-    if np.any(levels < 0.0) or np.any(levels > 1.0):
-        raise ValidationError("levels must lie in [0, 1]")
+    levels = np.atleast_1d(check_levels(levels))
     d = model.d1
     nl = levels.shape[0]
 

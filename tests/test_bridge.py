@@ -97,10 +97,12 @@ class TestEvaluate:
         assert rb.evaluate(b, 0.0) == 0.0
         assert rb.evaluate(b, 1.0) == pytest.approx(-0.2)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_domain_checked(self):
         b = rb.BridgeProcess(np.array([0.0, 1.0]))
-        with pytest.raises(ValidationError):
-            rb.evaluate(b, 1.5)
+        for bad in (1.5, np.nan, [0.5, np.nan]):
+            with pytest.raises(ValidationError, match="evaluation points"):
+                rb.evaluate(b, bad)
 
 
 # ======================================================================
@@ -155,9 +157,11 @@ class TestFloorIndex:
         assert rb.floor_index(7, np.array([0.0, 1.0])).tolist() == [0, 7]
         assert rb.floor_index(5, 0.39) == 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_domain(self):
-        with pytest.raises(ValidationError):
-            rb.floor_index(5, 1.2)
+        for bad in (1.2, np.nan, [0.5, np.nan]):
+            with pytest.raises(ValidationError, match="grid levels"):
+                rb.floor_index(5, bad)
 
     @given(n=st.integers(1, 10 ** 6),
            t=arrays(np.float64, st.integers(1, 50),

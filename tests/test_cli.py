@@ -217,6 +217,35 @@ class TestTestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_oversized_cell_is_input_error(self, tmp_path, capsys):
+        data_path = run_simulate(tmp_path, n=40)
+        big = tmp_path / "big.csv"
+        big.write_text(data_path.read_text() + "1" * 131_073 + ",1,1\n")
+        capsys.readouterr()
+        rc, out = run_test(tmp_path, big)
+        err = capsys.readouterr().err
+        assert rc == EXIT_INPUT
+        assert err.startswith(f"error: {big}: line 42: field larger than")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_path_separator_in_bridge_column_is_input_error(self, tmp_path,
+                                                            capsys):
+        data_path = tmp_path / "sep.csv"
+        write_rows(data_path, ["a/b", "const", "y"],
+                   [(k / 10, 1, k * 7 % 10) for k in range(10)])
+        bridge_dir = tmp_path / "out"
+        rc = main(["test", "--input", str(data_path), "--response", "y",
+                   "--order-columns", "a/b", "--intercept", "const",
+                   "--out", str(tmp_path / "report.json"),
+                   "--emit-bridges", str(bridge_dir)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_INPUT
+        assert err.startswith("error: --emit-bridges: ordering column 'a/b'")
+        assert "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+        assert not bridge_dir.exists()
+
     def test_too_few_replicates_is_input_error(self, tmp_path):
         data_path = run_simulate(tmp_path, n=40)
         rc = main(["test", "--input", str(data_path), "--response", "y",

@@ -4,13 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import regbridge as rb
 from regbridge.covmodel import IndependenceCovariance
 from regbridge.errors import (SingularDesignError, UnsupportedModelError,
                               ValidationError)
-from regbridge.limitsim import GridSpec
+from regbridge.limitsim import GridSpec, build_grid_covariance
 
 # Hand-inverted Gram matrix of the single-uniform design, kept explicit so
 # the khat checks do not route through the code under test.
@@ -59,26 +59,30 @@ class TestGridLorentz:
 
     def test_hand_example_nodes(self):
         cov = empirical_model(single_column_dataset([0.4, 0.2, 0.9]))
-        assert cov.n == 3 and cov.curves[0].shape == (4, 2)
+        curve = cov.curve(0, [0.0, 1 / 3, 2 / 3, 1.0])
+        assert cov.n == 3 and curve.shape == (4, 2)
         expected = np.array([[0.0, 0.0],
                              [0.2 / 3, 1 / 3],
                              [0.6 / 3, 2 / 3],
                              [1.5 / 3, 1.0]])
-        assert np.allclose(cov.curves[0], expected, atol=1e-15)
+        assert np.allclose(curve, expected, atol=1e-15)
         assert np.allclose(cov.curve(0, np.array([1 / 3, 2 / 3, 1.0])),
                            expected[1:], atol=1e-15)
 
-    def test_interpolates_between_nodes(self):
+    def test_steps_at_the_node_below(self):
+        # [3 * 0.5] = 1: the curve reads node 1, as the bridge grid does.
         cov = empirical_model(single_column_dataset([0.4, 0.2, 0.9]))
         mid = cov.curve(0, np.array([0.5]))[0]
-        assert mid == pytest.approx([(0.2 / 3 + 0.2) / 2, 0.5], abs=1e-15)
+        assert mid == pytest.approx([0.2 / 3, 1 / 3], abs=1e-15)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_levels_outside_unit_interval(self):
         cov = empirical_model(single_column_dataset([0.4, 0.2, 0.9]))
-        with pytest.raises(ValidationError):
-            cov.khat_grid(0, 0, [1.5], [0.5])
-        with pytest.raises(ValidationError):
-            cov.khat_grid(0, 0, [0.5], [-0.1])
+        for bad in (1.5, -0.1, np.nan):
+            with pytest.raises(ValidationError, match="levels must lie"):
+                cov.khat_grid(0, 0, [bad], [0.5])
+            with pytest.raises(ValidationError, match="levels must lie"):
+                cov.khat_grid(0, 0, [0.5], [bad])
 
     def test_converges_to_closed_form(self):
         # Sorted-uniform running mean approaches (t^2 / 2, t) at rate
@@ -113,10 +117,13 @@ class TestAnalyticLorentz:
         assert np.allclose(cov.curve(1, ts)[:, 0], 0.5 * ts, atol=1e-15)
         assert np.allclose(cov.curve(1, ts)[:, 1], ts ** 2 / 2, atol=1e-15)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_domain_check(self):
         cov = rb.fixtures.pinned_bridge_covariance()
         with pytest.raises(ValidationError):
             cov.khat_grid(0, 0, [0.5, 2.0], [0.5])
+        with pytest.raises(ValidationError):
+            cov.khat(0, 0, np.nan, 0.5)
 
 
 # ======================================================================
@@ -173,32 +180,53 @@ class TestProductJointCDF:
         assert np.allclose(grid, np.outer([0.5, 1.0], [0.2, 0.4, 1.0]))
 
 
+def columns_dataset(cols):
+    """Dataset of the ordering columns `cols` plus an intercept."""
+    d, n = len(cols), len(cols[0])
+    reg = np.column_stack(list(cols) + [np.ones(n)])
+    return rb.Dataset(regressors=reg, response=np.zeros(n),
+                      order_columns=tuple(range(d)), intercept_column=d)
+
+
 def columns_covariance(cols):
     """Empirical model of the ordering columns `cols`, plus an intercept.
 
     The Gram matrix is the identity, so that every draw is invertible;
     the kernel code never relies on which Gram it is given.
     """
-    d, n = len(cols), len(cols[0])
-    reg = np.column_stack(list(cols) + [np.ones(n)])
-    data = rb.Dataset(regressors=reg, response=np.zeros(n),
-                      order_columns=tuple(range(d)), intercept_column=d)
+    d = len(cols)
+    data = columns_dataset(cols)
     fit = exact_fit(data, np.zeros(d + 1))
     return rb.empirical_covariance(data, rb.all_orderings(data, fit),
                                    gram=np.eye(d + 1))
 
 
+def dense_indicators(cov, slot, levels):
+    """Dense (levels, n) 0/1 matrix of the rows at or below each threshold."""
+    counts = rb.floor_index(cov.n, np.asarray(levels, dtype=float))
+    out = np.zeros((len(levels), cov.n))
+    nz = counts > 0
+    thresholds = np.sort(cov.values[slot])[counts[nz] - 1]
+    out[nz] = cov.values[slot][None, :] <= thresholds[:, None]
+    return out
+
+
 def dense_cdf_grid(cov, i, j, svals, tvals):
     """Reference: product of the dense (levels, n) 0/1 indicator matrices."""
-    def indicators(slot, levels):
-        counts = rb.floor_index(cov.n, np.asarray(levels, dtype=float))
-        out = np.zeros((len(levels), cov.n))
-        nz = counts > 0
-        thresholds = np.sort(cov.values[slot])[counts[nz] - 1]
-        out[nz] = cov.values[slot][None, :] <= thresholds[:, None]
-        return out
+    return (dense_indicators(cov, i, svals)
+            @ dense_indicators(cov, j, tvals).T) / cov.n
 
-    return (indicators(i, svals) @ indicators(j, tvals).T) / cov.n
+
+def dense_kernel(cov, X, m):
+    """Reference grid matrix A (I - H) A' / n.
+
+    A stacks every slot's indicators on the grid k/m, slot-major, and H
+    is the hat matrix of the design X, from its QR factor.
+    """
+    A = np.vstack([dense_indicators(cov, k, GridSpec(m).points())
+                   for k in range(cov.d_order)])
+    Q = np.linalg.qr(X)[0]
+    return (A @ A.T - (A @ Q) @ (A @ Q).T) / X.shape[0]
 
 
 def column_lists(n):
@@ -321,7 +349,7 @@ class TestSharedKernelIngredients:
     def test_sorted_columns_come_from_the_views(self, case):
         cols, cov = case
         for k, col in enumerate(cols):
-            srt = cov.sorted_values[k]
+            srt = cov.views[k].sorted_column
             assert srt.flags.c_contiguous
             assert np.array_equal(srt, np.sort(col))
 
@@ -409,6 +437,44 @@ class TestEmpiricalCovariance:
         views = tuple(rb.order_by(d, fit, j) for j in (0, 1))
         with pytest.raises(SingularDesignError):
             rb.empirical_covariance(d, views, gram=reg.T @ reg / 40)
+
+
+@st.composite
+def kernel_designs(draw):
+    """d = 1..3 columns, each 5-level or tie-free, and m not dividing n."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d + 2, 60))
+    cols = [draw(st.one_of(
+        st.lists(st.integers(0, 4), min_size=n, max_size=n),
+        st.permutations(np.arange(1, n + 1) / n))) for _ in range(d)]
+    return columns_dataset(cols), draw(st.integers(2, 150).filter(lambda m: n % m))
+
+
+class TestEmpiricalGridMatrix:
+    """The plug-in grid matrix is (1/n) A (I - H) A', so it is PSD."""
+
+    @settings(deadline=None)
+    @given(case=kernel_designs())
+    @example(case=(columns_dataset([np.arange(34) % 5,
+                                    (np.arange(34) * 7 % 34 + 1) / 34,
+                                    np.arange(34) % 3]), 150))
+    @example(case=(columns_dataset([[0.4, 0.2, 0.9, 0.1, 0.7]]), 3))
+    def test_matches_dense_oracle_and_is_psd(self, case):
+        data, m = case
+        cond = np.linalg.cond(data.regressors)
+        assume(cond < 1e3)
+        cov = empirical_model(data)
+        K = build_grid_covariance(cov, GridSpec(m))
+        ref = dense_kernel(cov, data.regressors, m)
+        # Both bounds are relative to the cdf term, whose largest cell, at
+        # t = 1, is 1: a design whose indicators all lie in its column
+        # space has a zero kernel, and only roundoff to compare with.
+        # Inverting the Gram matrix adds roundoff in proportion to its
+        # condition number, the square of the design's.
+        tol = max(1e-12, 1e-14 * cond ** 2)
+        assert np.max(np.abs(K - ref)) <= tol
+        w = np.linalg.eigvalsh(K)
+        assert w[0] >= -tol * max(w[-1], 1.0)
 
 
 # ======================================================================

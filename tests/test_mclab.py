@@ -88,14 +88,16 @@ class TestFieldExperiment:
                                        n=50, replicates=100,
                                        queries=[[0.5]], seed=0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejects_bad_queries(self):
         model = rb.fixtures.field_model()
         with pytest.raises(ValidationError):
             rb.verify_field_covariance(model, n=50, replicates=100,
                                        queries=[[0.5]], seed=0)
-        with pytest.raises(ValidationError):
-            rb.verify_field_covariance(model, n=50, replicates=100,
-                                       queries=[[0.5, 1.5]], seed=0)
+        for bad in (1.5, np.nan):
+            with pytest.raises(ValidationError, match="unit cube"):
+                rb.verify_field_covariance(model, n=50, replicates=100,
+                                           queries=[[0.5, bad]], seed=0)
 
     def test_rejects_dependent_copula(self):
         model = rb.SyntheticModel(
@@ -143,10 +145,13 @@ class TestSumsExperiment:
             rb.verify_sum_covariance(rb.fixtures.field_model(), n=50,
                                      replicates=100, levels=[0.5], seed=0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejects_bad_levels(self):
-        with pytest.raises(ValidationError):
-            rb.verify_sum_covariance(rb.fixtures.zero_mean_field_model(),
-                                     n=50, replicates=100, levels=[1.2], seed=0)
+        for bad in (1.2, np.nan):
+            with pytest.raises(ValidationError, match=r"levels must lie"):
+                rb.verify_sum_covariance(rb.fixtures.zero_mean_field_model(),
+                                         n=50, replicates=100, levels=[bad],
+                                         seed=0)
 
 
 # ======================================================================
@@ -174,6 +179,14 @@ class TestBridgesExperiment:
         with pytest.raises(ValidationError):
             rb.verify_bridge_covariance(rb.fixtures.field_model(), n=50,
                                         replicates=100, levels=[0.5], seed=0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_bad_levels(self):
+        for bad in (-0.1, 1.2, np.nan):
+            with pytest.raises(ValidationError, match=r"levels must lie"):
+                rb.verify_bridge_covariance(rb.fixtures.single_uniform_model(),
+                                            n=50, replicates=100,
+                                            levels=[0.5, bad], seed=0)
 
 
 # ======================================================================
