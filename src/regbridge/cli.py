@@ -21,7 +21,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -32,7 +31,7 @@ from .dataset import (AddQuadratic, AffineQuantile, ColumnSchema,
                       GaussianCopula, Heteroscedastic, IndependenceCopula,
                       NoiseSpec, SyntheticModel, Dataset,
                       exchangeable_correlation, load_csv, sample_alternative,
-                      sample_h0, write_csv)
+                      write_csv)
 from .covmodel import verify_gram_identity
 from .errors import (DegenerateModelError, RegBridgeError, SingularDesignError,
                      ValidationError)
@@ -192,6 +191,40 @@ def _parse_columns(raw: str) -> tuple[str, ...]:
     return cols
 
 
+def _check_targets(args, order: tuple[str, ...]) -> None:
+    """Refuse, before anything is written, an output path that cannot be.
+
+    A file target must not be a directory, and its directory must exist.
+    The --emit-bridges DIR must be a directory, or not exist below a
+    directory (it is then created), and hold no directory named like a
+    bridge file.  The error names the flag and the path.
+    """
+    files = [("--out", args.out), ("--emit-null", args.emit_null)]
+    if args.emit_bridges:
+        for name in order:
+            if os.sep in name or (os.altsep and os.altsep in name):
+                raise ValidationError(f"--emit-bridges: ordering column "
+                                      f"{name!r} holds a path separator")
+        top = os.path.abspath(args.emit_bridges)
+        while not os.path.lexists(top):
+            top = os.path.dirname(top)
+        if not os.path.isdir(top):
+            raise ValidationError(f"--emit-bridges: {top!r} is not a directory")
+        files += [("--emit-bridges",
+                   os.path.join(args.emit_bridges, f"bridge_{name}.csv"))
+                  for name in order]
+    for flag, path in files:
+        if not path:
+            continue
+        if os.path.isdir(path):
+            raise ValidationError(f"{flag}: {path!r} is a directory")
+        # DIR's files need no existing directory: DIR is made first.
+        if (flag != "--emit-bridges"
+                and not os.path.isdir(os.path.dirname(os.path.abspath(path)))):
+            raise ValidationError(f"{flag}: the directory of {path!r} "
+                                  "does not exist")
+
+
 def cmd_test(args) -> int:
     intercept = None if args.intercept.lower() == "none" else args.intercept
     if intercept is None:
@@ -200,10 +233,7 @@ def cmd_test(args) -> int:
               file=sys.stderr)
     schema = ColumnSchema(order=_parse_columns(args.order_columns),
                           response=args.response, intercept=intercept)
-    for name in schema.order if args.emit_bridges else ():
-        if os.sep in name or (os.altsep and os.altsep in name):
-            raise ValidationError(f"--emit-bridges: ordering column {name!r} "
-                                  "holds a path separator")
+    _check_targets(args, schema.order)
     data = load_csv(args.input, schema)
     try:
         result = run_adequacy_test(data, grid_m=args.grid,
@@ -245,11 +275,9 @@ def cmd_test(args) -> int:
 # simulate subcommand
 # ======================================================================
 
-def _het_scale(block: np.ndarray, coef: float, column: int) -> np.ndarray:
-    """Noise scale sqrt(1 + coef * x^2) along the chosen ordering column."""
-    # nan where 1 + coef * x^2 < 0: `sample_alternative` reports it, not numpy
-    with np.errstate(invalid="ignore"):
-        return np.sqrt(1.0 + coef * np.asarray(block)[:, column] ** 2)
+# Breach record of each `simulate --model` other than h0, and of each
+# `breach.kind` of the power fixture.
+_BREACHES = {"add-quadratic": AddQuadratic, "heteroscedastic": Heteroscedastic}
 
 
 def _build_model(args) -> SyntheticModel:
@@ -292,27 +320,20 @@ def cmd_simulate(args) -> int:
         raise ValidationError(
             f"--noise-var must be finite and >= 0, got {args.noise_var}")
     model = _build_model(args)
-    if args.model in ("add-quadratic", "heteroscedastic"):
+    breach = None
+    if args.model != "h0":
+        if args.model not in _BREACHES:
+            raise ValidationError(
+                f"unknown --model {args.model!r} "
+                "(use h0, add-quadratic, or heteroscedastic)")
         if not 0 <= args.breach_column < model.d1:
             raise ValidationError(
                 f"--breach-column must lie in 0..{model.d1 - 1}, "
                 f"got {args.breach_column}")
         if not math.isfinite(args.coef):
             raise ValidationError(f"--coef must be finite, got {args.coef}")
-    if args.model == "h0":
-        data = sample_h0(model, args.n, args.seed)
-    elif args.model == "add-quadratic":
-        breach = AddQuadratic(coef=args.coef, column=args.breach_column)
-        data = sample_alternative(model, breach, args.n, args.seed)
-    elif args.model == "heteroscedastic":
-        breach = Heteroscedastic(
-            scale=partial(_het_scale, coef=args.coef, column=args.breach_column))
-        data = sample_alternative(model, breach, args.n, args.seed)
-    else:
-        raise ValidationError(
-            f"unknown --model {args.model!r} "
-            "(use h0, add-quadratic, or heteroscedastic)")
-    write_csv(data, args.out)
+        breach = _BREACHES[args.model](args.coef, args.breach_column)
+    write_csv(sample_alternative(model, breach, args.n, args.seed), args.out)
     return EXIT_OK
 
 
@@ -380,11 +401,11 @@ def _run_size(cfg: dict, args, table):
 
 
 def _run_power(cfg: dict, args, table):
-    from .fixtures import quadratic_breach
     breach = cfg["breach"]
-    if breach["kind"] != "add-quadratic":
+    if breach["kind"] not in _BREACHES:
         raise ValidationError(f"unknown breach kind {breach['kind']!r}")
-    study = _study(cfg, args, quadratic_breach(breach["coef"], breach["column"]))
+    study = _study(cfg, args,
+                   _BREACHES[breach["kind"]](breach["coef"], breach["column"]))
     rates = study.rates
     floor = cfg["min_rate_ratio"] * cfg["level"]
     mono = all(b >= a for a, b in zip(rates, rates[1:]))

@@ -10,8 +10,9 @@ A synthetic model draws latent coordinates from a copula on the unit cube,
 maps each coordinate through an affine margin q(u) = shift + scale * u
 (:class:`AffineQuantile`) to obtain the ordering regressors, appends an
 intercept, and builds the response either from a linear predictor plus
-centered noise (regression mode) or from a user-supplied conditional mean
-and variance (concomitant mode).
+centered noise (regression mode, where a breach record, :class:`AddQuadratic`
+or :class:`Heteroscedastic`, can break the linear model) or from a
+user-supplied conditional mean and variance (concomitant mode).
 """
 
 from __future__ import annotations
@@ -432,7 +433,7 @@ class SyntheticModel:
 
 @dataclass(frozen=True)
 class AddQuadratic:
-    """Adequacy breach: add coef * x_column**2, column in 0..d1 - 1."""
+    """Breach of the linear mean: coef * x_column**2 joins the response."""
 
     coef: float
     column: int = 0
@@ -440,12 +441,13 @@ class AddQuadratic:
 
 @dataclass(frozen=True)
 class Heteroscedastic:
-    """Adequacy breach: multiply the noise by scale(latent block) per row."""
+    """Breach of the noise law: noise scaled by sqrt(1 + coef * x_column**2)."""
 
-    scale: Callable
+    coef: float
+    column: int = 0
 
 
-def _draw_design(model: SyntheticModel, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+def _draw_design(model: SyntheticModel, n: int, rng) -> np.ndarray:
     """Draw latent uniforms and assemble the (n, d1 + 1) design matrix."""
     if n < 1:
         raise ValidationError("n >= 1 required")
@@ -456,56 +458,47 @@ def _draw_design(model: SyntheticModel, n: int, rng) -> tuple[np.ndarray, np.nda
             raise ValidationError(
                 f"ordering column {j} has ties; its margin is not strictly "
                 "increasing on the sampled range")
-    X = np.column_stack(cols + [np.ones(n)])
-    return U, X
-
-
-def _assemble(model: SyntheticModel, X: np.ndarray, response: np.ndarray) -> Dataset:
-    d = model.d1
-    return Dataset(X, response,
-                   order_columns=tuple(range(d)),
-                   intercept_column=d,
-                   regressor_names=model.column_names())
+    return np.column_stack(cols + [np.ones(n)])
 
 
 def sample_h0(model: SyntheticModel, n: int, seed) -> Dataset:
-    """Draw a dataset from the model with the linear response intact."""
-    if model.theta is None:
-        raise ValidationError("regression sampling needs model.theta")
-    rng = philox_stream(*as_seed_key(seed))
-    _, X = _draw_design(model, n, rng)
-    eps = model.noise.sample(rng, n)
-    response = X @ np.asarray(model.theta) + eps
-    return _assemble(model, X, response)
+    """Draw a dataset with the linear response intact (breach None)."""
+    return sample_alternative(model, None, n, seed)
 
 
 def sample_alternative(model: SyntheticModel, breach, n: int, seed) -> Dataset:
-    """Draw a dataset whose response breaks the linear model.
+    """Draw a regression dataset under `breach`, or under the null if None.
 
-    The latent draws reuse the same stream layout as :func:`sample_h0`, so
-    a breach that degenerates to no-op (for example a constant unit noise
-    scale) reproduces the null draw bit for bit under the same seed.
+    A breach acts on an ordering column, 0..d1 - 1.  The stream of `seed`
+    gives the design X, then the noise eps; the response is X @ theta,
+    plus coef * x**2 for AddQuadratic, plus eps, scaled for
+    Heteroscedastic.  So a breach with coef 0 reproduces the null draw
+    of the same seed bit for bit.
     """
     if model.theta is None:
         raise ValidationError("regression sampling needs model.theta")
-    rng = philox_stream(*as_seed_key(seed))
-    U, X = _draw_design(model, n, rng)
-    eps = model.noise.sample(rng, n)
-    mean = X @ np.asarray(model.theta)
-    if isinstance(breach, AddQuadratic):
+    if breach is not None:
+        if not isinstance(breach, (AddQuadratic, Heteroscedastic)):
+            raise ValidationError(f"unknown breach kind {type(breach).__name__}")
         if not 0 <= breach.column < model.d1:
             raise ValidationError(
                 f"breach column {breach.column} outside 0..{model.d1 - 1}")
-        response = mean + breach.coef * X[:, breach.column] ** 2 + eps
+    rng = philox_stream(*as_seed_key(seed))
+    X = _draw_design(model, n, rng)
+    eps = model.noise.sample(rng, n)
+    response = X @ np.asarray(model.theta)
+    if isinstance(breach, AddQuadratic):
+        response += breach.coef * X[:, breach.column] ** 2
     elif isinstance(breach, Heteroscedastic):
-        scale = np.asarray(breach.scale(X[:, : model.d1]), dtype=float)
-        scale = np.broadcast_to(scale, (n,)).astype(float)
-        if np.any(scale <= 0) or not np.all(np.isfinite(scale)):
+        # nan where 1 + coef * x^2 < 0: reported below, not by numpy
+        with np.errstate(invalid="ignore"):
+            scale = np.sqrt(1.0 + breach.coef * X[:, breach.column] ** 2)
+        if not np.all((scale > 0) & np.isfinite(scale)):
             raise ValidationError("noise scale map must be positive and finite")
-        response = mean + scale * eps
-    else:
-        raise ValidationError(f"unknown breach kind {type(breach).__name__}")
-    return _assemble(model, X, response)
+        eps = scale * eps
+    d = model.d1
+    return Dataset(X, response + eps, order_columns=tuple(range(d)),
+                   intercept_column=d, regressor_names=model.column_names())
 
 
 def sample_concomitant(model: SyntheticModel, n: int, seed) -> tuple[np.ndarray, np.ndarray]:

@@ -15,8 +15,8 @@ from importlib import resources
 import numpy as np
 
 from .covmodel import IndependenceCovariance
-from .dataset import (AddQuadratic, AffineQuantile, IndependenceCopula,
-                      NoiseSpec, SyntheticModel)
+from .dataset import (AffineQuantile, IndependenceCopula, NoiseSpec,
+                      SyntheticModel)
 from .errors import ValidationError
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "single_uniform_model",
     "two_uniform_model",
     "affine_model",
-    "quadratic_breach",
     "pinned_bridge_covariance",
     "get_model",
     "get_gram_case",
@@ -55,11 +54,6 @@ def unit_variance(u: np.ndarray) -> np.ndarray:
 def centered_first_coordinate(u: np.ndarray) -> np.ndarray:
     """m(u) = u[0] - 1/2."""
     return np.asarray(u)[:, 0] - 0.5
-
-
-def unit_scale(block: np.ndarray) -> np.ndarray:
-    """Constant noise scale 1 (a breach that changes nothing)."""
-    return np.ones(np.asarray(block).shape[0])
 
 
 # ======================================================================
@@ -104,10 +98,6 @@ def affine_model() -> SyntheticModel:
                           quantile_funcs=(AffineQuantile(shift=-1.0, scale=2.0),),
                           theta=(1.5, 0.5),
                           noise=NoiseSpec("normal", 1.0))
-
-
-def quadratic_breach(coef: float = 1.0, column: int = 0) -> AddQuadratic:
-    return AddQuadratic(coef=coef, column=column)
 
 
 def pinned_bridge_covariance() -> IndependenceCovariance:

@@ -405,10 +405,7 @@ class SizePowerResult:
 def _study_case(args) -> float:
     """One pipeline run; module level so process pools can pickle it."""
     model, breach, n, inner, grid_m, level, data_key, null_key = args
-    if breach is None:
-        data = sample_h0(model, n, data_key)
-    else:
-        data = sample_alternative(model, breach, n, data_key)
+    data = sample_alternative(model, breach, n, data_key)
     res = run_adequacy_test(data, grid_m=grid_m, replicates=inner,
                             seed=null_key, level=level)
     return res.p_value

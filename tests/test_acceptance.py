@@ -197,8 +197,7 @@ def test_criterion_09_test_size():
 def test_criterion_10_test_power():
     t0 = time.perf_counter()
     cfg = rb.fixtures.load_experiment_defaults()["power"]
-    breach = rb.fixtures.quadratic_breach(cfg["breach"]["coef"],
-                                          cfg["breach"]["column"])
+    breach = rb.AddQuadratic(cfg["breach"]["coef"], cfg["breach"]["column"])
     study = rb.size_power_study(
         rb.fixtures.get_model(cfg["model"]), breach, cfg["n_values"],
         cfg["level"], cfg["replicates"], cfg["seed"],

@@ -246,6 +246,29 @@ class TestTestExitCodes:
         assert not (tmp_path / "report.json").exists()
         assert not bridge_dir.exists()
 
+    @pytest.mark.parametrize("target", [
+        ("--emit-null", "nodir/null.csv", "--out", "r.json"),
+        ("--emit-bridges", "data.csv"),
+        ("--out", "."),
+    ], ids=["emit-null-without-directory", "emit-bridges-onto-file",
+            "out-onto-directory"])
+    def test_unwritable_target_is_input_error(self, tmp_path, monkeypatch,
+                                              capsys, target):
+        # Every target is checked before the first write: the run writes
+        # no report, on disk or stdout, and names the flag and path.
+        run_simulate(tmp_path, n=50)
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        rc = main(["test", "--input", "data.csv", "--response", "y",
+                   "--order-columns", "x1", "--intercept", "const", *target])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err.startswith(f"error: {target[0]}: ")
+        assert target[1] in err and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_too_few_replicates_is_input_error(self, tmp_path):
         data_path = run_simulate(tmp_path, n=40)
         rc = main(["test", "--input", str(data_path), "--response", "y",
@@ -449,7 +472,7 @@ def _verify_by_library(name, overrides):
     stripped), the per-case lines, the overall pass flag, and the cell
     tables by file name.
     """
-    from regbridge import covmodel, fixtures, mclab
+    from regbridge import covmodel, dataset, fixtures, mclab
     fixture = fixtures.load_experiment_defaults()[name]
     if name == "gram-identity":
         tol = fixture["tolerance"]
@@ -467,8 +490,8 @@ def _verify_by_library(name, overrides):
         cfg = {**fixture, **overrides, "n_values": [overrides["n"]]}
         breach = None
         if name == "power":
-            breach = fixtures.quadratic_breach(cfg["breach"]["coef"],
-                                               cfg["breach"]["column"])
+            breach = dataset.AddQuadratic(cfg["breach"]["coef"],
+                                          cfg["breach"]["column"])
         study = mclab.size_power_study(
             fixtures.get_model(cfg["model"]), breach, cfg["n_values"],
             cfg["level"], cfg["replicates"], cfg["seed"],

@@ -267,7 +267,7 @@ class TestSizePowerStudy:
 
     def test_breach_switches_mode(self):
         res = rb.size_power_study(rb.fixtures.single_uniform_model(),
-                                  rb.fixtures.quadratic_breach(4.0),
+                                  rb.AddQuadratic(4.0),
                                   n_values=(60,), level=0.2, replicates=5,
                                   seed=10, inner_replicates=100, grid_m=10)
         assert res.mode == "power"
