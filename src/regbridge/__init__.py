@@ -10,8 +10,8 @@ distributional claims behind the calibration at desk scale.
 The public names are those of the pipeline modules' ``__all__`` lists.
 The lab loads on first use: the submodule `fixtures` and the `mclab`
 names in ``_LAZY_MCLAB`` resolve through the module-level
-``__getattr__``, so ``import regbridge`` and a ``regbridge test`` run
-never import them.
+``__getattr__``, once (the globals keep what it resolves), so ``import
+regbridge`` and a ``regbridge test`` run never import them.
 """
 
 from importlib import import_module as _import_module
@@ -43,9 +43,10 @@ __all__ = [name for module in (errors, rng, dataset, ols, ordering, bridge,
 def __getattr__(name):
     if name == "fixtures":
         return _import_module(".fixtures", __name__)
-    if name in _LAZY_MCLAB:
-        return getattr(_import_module(".mclab", __name__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _LAZY_MCLAB:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_import_module(".mclab", __name__), name)
+    return value
 
 
 def __dir__():

@@ -192,14 +192,8 @@ def _parse_columns(raw: str) -> tuple[str, ...]:
 
 
 def _check_targets(args, order: tuple[str, ...]) -> None:
-    """Refuse, before anything is written, an output path that cannot be.
-
-    A file target must not be a directory, and its directory must exist.
-    The --emit-bridges DIR must be a directory, or not exist below a
-    directory (it is then created), and hold no directory named like a
-    bridge file.  The error names the flag and the path.
-    """
-    files = [("--out", args.out), ("--emit-null", args.emit_null)]
+    """Refuse, before the first write, a file target that is a directory or
+    has none, and an --emit-bridges DIR that is no directory nor creatable."""
     if args.emit_bridges:
         for name in order:
             if os.sep in name or (os.altsep and os.altsep in name):
@@ -210,19 +204,11 @@ def _check_targets(args, order: tuple[str, ...]) -> None:
             top = os.path.dirname(top)
         if not os.path.isdir(top):
             raise ValidationError(f"--emit-bridges: {top!r} is not a directory")
-        files += [("--emit-bridges",
-                   os.path.join(args.emit_bridges, f"bridge_{name}.csv"))
-                  for name in order]
-    for flag, path in files:
-        if not path:
-            continue
-        if os.path.isdir(path):
+    for flag, path in (("--out", args.out), ("--emit-null", args.emit_null)):
+        if path and os.path.isdir(path):
             raise ValidationError(f"{flag}: {path!r} is a directory")
-        # DIR's files need no existing directory: DIR is made first.
-        if (flag != "--emit-bridges"
-                and not os.path.isdir(os.path.dirname(os.path.abspath(path)))):
-            raise ValidationError(f"{flag}: the directory of {path!r} "
-                                  "does not exist")
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ValidationError(f"{flag}: no directory holds {path!r}")
 
 
 def cmd_test(args) -> int:
@@ -275,8 +261,7 @@ def cmd_test(args) -> int:
 # simulate subcommand
 # ======================================================================
 
-# Breach record of each `simulate --model` other than h0, and of each
-# `breach.kind` of the power fixture.
+# Breach record of each `simulate --model` but h0, and power `breach.kind`.
 _BREACHES = {"add-quadratic": AddQuadratic, "heteroscedastic": Heteroscedastic}
 
 

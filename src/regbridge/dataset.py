@@ -447,20 +447,6 @@ class Heteroscedastic:
     column: int = 0
 
 
-def _draw_design(model: SyntheticModel, n: int, rng) -> np.ndarray:
-    """Draw latent uniforms and assemble the (n, d1 + 1) design matrix."""
-    if n < 1:
-        raise ValidationError("n >= 1 required")
-    U = model.copula.sample(n, rng)
-    cols = [q(U[:, j]) for j, q in enumerate(model.quantile_funcs)]
-    for j, c in enumerate(cols):
-        if np.any(np.diff(np.sort(c)) == 0):
-            raise ValidationError(
-                f"ordering column {j} has ties; its margin is not strictly "
-                "increasing on the sampled range")
-    return np.column_stack(cols + [np.ones(n)])
-
-
 def sample_h0(model: SyntheticModel, n: int, seed) -> Dataset:
     """Draw a dataset with the linear response intact (breach None)."""
     return sample_alternative(model, None, n, seed)
@@ -471,9 +457,8 @@ def sample_alternative(model: SyntheticModel, breach, n: int, seed) -> Dataset:
 
     A breach acts on an ordering column, 0..d1 - 1.  The stream of `seed`
     gives the design X, then the noise eps; the response is X @ theta,
-    plus coef * x**2 for AddQuadratic, plus eps, scaled for
-    Heteroscedastic.  So a breach with coef 0 reproduces the null draw
-    of the same seed bit for bit.
+    plus coef * x**2 for AddQuadratic, plus eps, scaled for Heteroscedastic.
+    So a breach with coef 0 reproduces the null draw of the seed bit for bit.
     """
     if model.theta is None:
         raise ValidationError("regression sampling needs model.theta")
@@ -483,8 +468,17 @@ def sample_alternative(model: SyntheticModel, breach, n: int, seed) -> Dataset:
         if not 0 <= breach.column < model.d1:
             raise ValidationError(
                 f"breach column {breach.column} outside 0..{model.d1 - 1}")
+    if n < 1:
+        raise ValidationError("n >= 1 required")
     rng = philox_stream(*as_seed_key(seed))
-    X = _draw_design(model, n, rng)
+    U = model.copula.sample(n, rng)
+    cols = [q(U[:, j]) for j, q in enumerate(model.quantile_funcs)]
+    for j, c in enumerate(cols):
+        if np.any(np.diff(np.sort(c)) == 0):
+            raise ValidationError(
+                f"ordering column {j} has ties; its margin is not strictly "
+                "increasing on the sampled range")
+    X = np.column_stack(cols + [np.ones(n)])
     eps = model.noise.sample(rng, n)
     response = X @ np.asarray(model.theta)
     if isinstance(breach, AddQuadratic):

@@ -37,7 +37,7 @@ import numpy as np
 
 from .covmodel import CovarianceModel
 from .errors import RegBridgeError, ValidationError
-from .rng import collapse_seed
+from .rng import as_seed_key, collapse_seed
 
 __all__ = [
     "GridSpec",
@@ -130,8 +130,8 @@ class NullDistribution:
     the others (see `_split_weights`), all zero when nothing is left
     over.  `sf` and `quantile` are exact up to the roundoff of the
     numerical inversion; `samples` is a Monte Carlo sample of the law,
-    `replicates` draws from the stream seeded by `seed`, drawn on first
-    read.
+    `replicates` draws from the stream of `seed`, the validated seed key
+    (see `rng.as_seed_key`), drawn on first read.
     """
 
     lead: np.ndarray
@@ -140,8 +140,20 @@ class NullDistribution:
     b: float
     m: int
     replicates: int
-    seed: int
+    seed: tuple[int, ...]
     clip_count: int
+
+    @cached_property
+    def _terms(self):
+        """The terms `_tail` reads, derived once per law (see there)."""
+        w = np.append(self.lead, self.a)
+        h = np.append(np.ones(self.lead.size), self.nu)
+        mean = float(h @ w)
+        cap = _TILT_CAP / (2.0 * w[0])
+        T = (37.0 - 0.5 * (np.log1p(-2.0 * cap * w) @ h)) / cap
+        U = 2.0 * np.pi * _MAX_NODES / (mean + T) * _LONGER
+        decayed = np.log1p(np.multiply.outer(4.0 * U * U, w * w)) @ h >= 148.0
+        return w, h, mean, T, U, decayed
 
     def _tail(self, y: np.ndarray):
         """P(Y > y) and the density of Y = sum_k lead_k chi2(1) + a chi2(nu), at y > 0.
@@ -163,13 +175,7 @@ class NullDistribution:
         of the mean, and RegBridgeError is raised rather than an
         unchecked value returned.
         """
-        w = np.append(self.lead, self.a)
-        h = np.append(np.ones(self.lead.size), self.nu)
-        mean = float(h @ w)
-        cap = _TILT_CAP / (2.0 * w[0])
-        T = (37.0 - 0.5 * (np.log1p(-2.0 * cap * w) @ h)) / cap
-        U = 2.0 * np.pi * _MAX_NODES / (mean + T) * _LONGER
-        decayed = np.log1p(np.multiply.outer(4.0 * U * U, w * w)) @ h >= 148.0
+        w, h, mean, T, U, decayed = self._terms
         if decayed[0]:
             return _gil_pelaez(y, w, h, T, U[0])
         with np.errstate(over="ignore", invalid="ignore"):
@@ -251,9 +257,9 @@ class NullDistribution:
 
         Replicate r is (2 a x_r + b + sum_k lead_k g_rk^2) / m, with x_r a
         gamma(nu / 2) draw and g_rk standard normal.  All of it comes from
-        one SFC64 stream, seeded by ``SeedSequence([seed, 2**64 - 1])``:
-        first the `replicates` gamma draws (none when nothing is left
-        over), then the normals g, row r of the stream read on as a
+        one SFC64 stream, seeded by ``SeedSequence([collapse_seed(seed),
+        2**64 - 1])``: first the `replicates` gamma draws (none when nothing
+        is left over), then the normals g, row r of the stream read on as a
         (replicates, K) array.  Rows are drawn `_CHUNK` at a time to bound
         memory, and the stream runs on across chunks, so the output does
         not depend on the chunk size.  The stream is never re-keyed, so it
@@ -262,7 +268,7 @@ class NullDistribution:
         not replay the Philox data streams of the same seed.
         """
         gen = np.random.Generator(np.random.SFC64(
-            np.random.SeedSequence([self.seed, _NULL_WORD])))
+            np.random.SeedSequence([collapse_seed(self.seed), _NULL_WORD])))
         reps, lead = self.replicates, self.lead
         out = np.zeros(reps)
         if self.nu > 0.0:
@@ -366,13 +372,12 @@ def factor_psd(matrix: np.ndarray) -> NullSpectrum:
     A = np.asarray(matrix, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValidationError("matrix must be square")
-    scale = float(np.max(np.abs(A))) if A.size else 0.0
-    skew = A - A.T
-    if float(np.max(np.abs(skew))) > 1e-12 * max(scale, 1.0):
-        raise ValidationError("matrix must be symmetric")
-    # On exactly symmetric input, such as `build_grid_covariance` output,
-    # 0.5 * (A + A') is A bit for bit, so it need not be formed.
-    w = np.linalg.eigvalsh(0.5 * (A + A.T) if skew.any() else A)
+    # Exactly symmetric input (`build_grid_covariance` output) skips both.
+    if not np.array_equal(A, A.T):
+        if np.max(np.abs(A - A.T)) > 1e-12 * max(np.max(np.abs(A)), 1.0):
+            raise ValidationError("matrix must be symmetric")
+        A = 0.5 * (A + A.T)
+    w = np.linalg.eigvalsh(A)
     below = w < CLIP_FLOOR
     return NullSpectrum(weights=np.where(below, 0.0, w),
                         clip_count=int(np.count_nonzero(below)))
@@ -416,10 +421,10 @@ def simulate_null(spectrum: NullSpectrum, replicates: int, grid: GridSpec,
 
     Nothing is drawn here: the clipped weights are split into the leading
     ones and a remainder law (see `_split_weights`), and `replicates` and
-    `seed` are kept for the Monte Carlo sample that
-    `NullDistribution.samples` draws on first read.  The spectrum
-    dimension must be a multiple of the grid size (one block per ordering
-    slot).
+    `seed`, checked by `rng.as_seed_key`, are kept for the Monte Carlo
+    sample that `NullDistribution.samples` draws on first read.  The
+    spectrum dimension must be a multiple of the grid size (one block per
+    ordering slot).
     """
     if replicates < 100:
         raise ValidationError("need at least 100 replicates for a usable tail")
@@ -429,7 +434,7 @@ def simulate_null(spectrum: NullSpectrum, replicates: int, grid: GridSpec,
             f"factor dimension {dim} is not a multiple of grid size {grid.m}")
     lead, a, nu, b = _split_weights(spectrum.weights)
     return NullDistribution(lead=lead, a=a, nu=nu, b=b, m=grid.m,
-                            replicates=replicates, seed=collapse_seed(seed),
+                            replicates=replicates, seed=as_seed_key(seed),
                             clip_count=spectrum.clip_count)
 
 

@@ -406,9 +406,8 @@ def _study_case(args) -> float:
     """One pipeline run; module level so process pools can pickle it."""
     model, breach, n, inner, grid_m, level, data_key, null_key = args
     data = sample_alternative(model, breach, n, data_key)
-    res = run_adequacy_test(data, grid_m=grid_m, replicates=inner,
-                            seed=null_key, level=level)
-    return res.p_value
+    return run_adequacy_test(data, grid_m=grid_m, replicates=inner,
+                             seed=null_key, level=level).p_value
 
 
 def size_power_study(model: SyntheticModel, breach, n_values, level: float,

@@ -564,6 +564,16 @@ class TestVerifyCommand:
         payload = json.loads((tmp_path / "b.json").read_text())
         assert {c["experiment"] for c in payload["cases"]} == {"bridges"}
 
+    def test_power_refuses_unknown_breach_kind(self, monkeypatch, capsys):
+        from regbridge import fixtures
+        defaults = fixtures.load_experiment_defaults()
+        defaults["power"]["breach"]["kind"] = "cubic"
+        monkeypatch.setattr(fixtures, "load_experiment_defaults",
+                            lambda: defaults)
+        rc = main(["verify", "--experiment", "power"])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == "error: unknown breach kind 'cubic'\n"
+
     def test_tolerance_miss_exits_4(self, capsys):
         # 100 replicates cannot hit the shipped 5% tolerance.
         rc = main(["verify", "--experiment", "field", "--replicates", "100"])
@@ -760,6 +770,12 @@ class TestEntryPoint:
         import regbridge
         with pytest.raises(AttributeError, match="no_such_name"):
             regbridge.no_such_name
+
+    def test_lab_name_is_stored_on_first_access(self):
+        # Later lookups, one per call in a lab loop, skip `__getattr__`.
+        import regbridge
+        study = regbridge.size_power_study
+        assert vars(regbridge)["size_power_study"] is study
 
     def test_verify_runs_in_fresh_interpreter(self):
         # The lab imports inside `cmd_verify` must work from a cold start.

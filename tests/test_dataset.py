@@ -288,6 +288,26 @@ class TestSampleAlternative:
             with pytest.raises(ValidationError, match="breach column"):
                 rb.sample_alternative(m, rb.AddQuadratic(1.0, column), 10, 0)
 
+    def test_heteroscedastic_breach_column_must_be_ordering_column(self):
+        m = rb.fixtures.single_uniform_model()
+        for column in (m.d1, -1):
+            with pytest.raises(ValidationError, match="breach column"):
+                rb.sample_alternative(m, rb.Heteroscedastic(1.0, column), 10, 0)
+
+    @pytest.mark.parametrize("coef", [3.0, -0.5])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_heteroscedastic_scales_the_null_noise(self, coef, column):
+        m = rb.fixtures.two_uniform_model()
+        h0 = rb.sample_h0(m, 300, 12)
+        alt = rb.sample_alternative(m, rb.Heteroscedastic(coef, column), 300, 12)
+        mean = h0.regressors @ np.asarray(m.theta)
+        scale = np.sqrt(1.0 + coef * h0.regressors[:, column] ** 2)
+        expected = mean + scale * (h0.response - mean)
+        assert np.array_equal(alt.regressors, h0.regressors)
+        assert (np.max(np.abs(alt.response - expected))
+                <= 1e-12 * np.max(np.abs(expected)))
+        assert not np.allclose(alt.response, h0.response)
+
     def test_unknown_breach(self):
         m = rb.fixtures.single_uniform_model()
         with pytest.raises(ValidationError, match="breach"):

@@ -272,6 +272,16 @@ class TestSimulateNull:
         assert np.allclose(null.samples, np.sort(manual), rtol=1e-12, atol=0.0)
         assert null.clip_count == f.clip_count
 
+    def test_seed_is_checked_at_once_and_hashed_at_draw(self):
+        f = rb.factor_psd(np.eye(4))
+        with pytest.raises(TypeError):
+            rb.simulate_null(f, 100, rb.GridSpec(4), seed="x")
+        null = rb.simulate_null(f, 100, rb.GridSpec(4), seed=(3, 1, 4))
+        assert null.seed == (3, 1, 4)
+        own = null_stream((3, 1, 4)).standard_normal((100, 4))
+        assert np.allclose(null.samples, np.sort((own ** 2).sum(1) / 4),
+                           rtol=1e-12, atol=0.0)
+
     @settings(max_examples=60, deadline=None)
     @given(chunk=st.integers(1, 300), replicates=st.integers(100, 700),
            m=st.integers(2, 20))
