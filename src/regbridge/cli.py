@@ -192,8 +192,8 @@ def _parse_columns(raw: str) -> tuple[str, ...]:
 
 
 def _check_targets(args, order: tuple[str, ...]) -> None:
-    """Refuse, before the first write, a file target that is a directory or
-    has none, and an --emit-bridges DIR that is no directory nor creatable."""
+    """Refuse, before anything is written, a file target that is a directory
+    or has no directory, and an --emit-bridges DIR that cannot be made."""
     if args.emit_bridges:
         for name in order:
             if os.sep in name or (os.altsep and os.altsep in name):

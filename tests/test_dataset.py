@@ -1,5 +1,7 @@
 """Dataset invariants, CSV round trips, and the synthetic samplers."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -307,6 +309,11 @@ class TestSampleAlternative:
         assert (np.max(np.abs(alt.response - expected))
                 <= 1e-12 * np.max(np.abs(expected)))
         assert not np.allclose(alt.response, h0.response)
+
+    def test_breach_records_pickle(self):
+        # A process pool sends them to its workers.
+        for breach in (rb.AddQuadratic(1.5, 1), rb.Heteroscedastic(-0.5, 1)):
+            assert pickle.loads(pickle.dumps(breach)) == breach
 
     def test_unknown_breach(self):
         m = rb.fixtures.single_uniform_model()
