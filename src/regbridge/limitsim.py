@@ -145,7 +145,7 @@ class NullDistribution:
 
     @cached_property
     def _terms(self):
-        """The terms `_tail` reads, derived once per law (see there)."""
+        """The terms of the law that `_tail` reads, derived once."""
         w = np.append(self.lead, self.a)
         h = np.append(np.ones(self.lead.size), self.nu)
         mean = float(h @ w)
