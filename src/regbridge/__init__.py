@@ -8,8 +8,8 @@ estimated from the same data.  A built-in Monte Carlo lab checks the
 distributional claims behind the calibration at desk scale.
 
 The public names are those of the pipeline modules' ``__all__`` lists.
-The lab loads on first use: the submodule `fixtures` and the `mclab`
-names in ``_LAZY_MCLAB`` resolve through the module-level
+The lab modules `fixtures` and `mclab` load on first use: the module
+itself, or a name in its ``__all__``, resolves through the module-level
 ``__getattr__``, once (the globals keep what it resolves), so ``import
 regbridge`` and a ``regbridge test`` run never import them.
 """
@@ -30,23 +30,20 @@ from .adequacy import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-_LAZY_MCLAB = ("empirical_field", "concomitant_sum_process", "ErrorCell",
-               "VerificationReport", "SizePowerResult",
-               "verify_field_covariance", "verify_sum_covariance",
-               "verify_bridge_covariance", "size_power_study")
-
 __all__ = [name for module in (errors, rng, dataset, ols, ordering, bridge,
                                covmodel, limitsim, adequacy)
-           for name in module.__all__] + [*_LAZY_MCLAB, "fixtures"]
+           for name in module.__all__]
 
 
 def __getattr__(name):
-    if name == "fixtures":
-        return _import_module(".fixtures", __name__)
-    if name not in _LAZY_MCLAB:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(_import_module(".mclab", __name__), name)
-    return value
+    if not name.startswith("_"):
+        for lab in ("fixtures", "mclab"):
+            module = _import_module(f".{lab}", __name__)  # also binds `lab` here
+            if name in module.__all__:
+                globals()[name] = getattr(module, name)
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():

@@ -6,18 +6,18 @@ Three subcommands:
 * ``simulate``  draw a synthetic dataset and write it as CSV
 * ``verify``    run a shipped Monte Carlo verification experiment
 
+The last two live in `mclab`, which loads only when one of them runs.
 Exit codes: 0 for a completed run (the test's accept/reject decision never
 drives the exit code), 1 for I/O or validation problems (a `test` grid or
-null sample too large for memory among them), 3 for a singular
-design or a degenerate fit, 4 for a verification experiment that ran but
-missed its tolerance.
+null sample too large for memory among them), 3 for a singular design or
+a degenerate fit, 4 for a verification experiment that ran but missed
+its tolerance.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -27,12 +27,7 @@ import numpy as np
 
 from .adequacy import AdequacyResult, run_adequacy_test
 from .bridge import omega_sq, write_bridge_csv
-from .dataset import (AddQuadratic, AffineQuantile, ColumnSchema,
-                      GaussianCopula, Heteroscedastic, IndependenceCopula,
-                      NoiseSpec, SyntheticModel, Dataset,
-                      exchangeable_correlation, load_csv, sample_alternative,
-                      write_csv)
-from .covmodel import verify_gram_identity
+from .dataset import ColumnSchema, Dataset, load_csv
 from .errors import (DegenerateModelError, RegBridgeError, SingularDesignError,
                      ValidationError)
 from .limitsim import write_null_samples_csv
@@ -191,20 +186,32 @@ def _parse_columns(raw: str) -> tuple[str, ...]:
     return cols
 
 
-def _check_targets(args, order: tuple[str, ...]) -> None:
-    """Refuse, before anything is written, a file target that is a directory
-    or has no directory, and an --emit-bridges DIR that cannot be made."""
-    if args.emit_bridges:
-        for name in order:
+def _bridge_path(folder: str, column: str) -> str:
+    return os.path.join(folder, f"bridge_{column}.csv")
+
+
+def check_targets(files, bridge_dir=None, columns=()) -> None:
+    """Refuse, before anything is written, a bad output target.
+
+    `files` holds (flag, path) pairs, a path of None unused: a file target
+    that is a directory or has no directory is refused.  So is an
+    --emit-bridges `bridge_dir` that cannot be made, or whose bridge file
+    for one of `columns` is a directory.
+    """
+    if bridge_dir:
+        for name in columns:
             if os.sep in name or (os.altsep and os.altsep in name):
                 raise ValidationError(f"--emit-bridges: ordering column "
                                       f"{name!r} holds a path separator")
-        top = os.path.abspath(args.emit_bridges)
+        top = os.path.abspath(bridge_dir)
         while not os.path.lexists(top):
             top = os.path.dirname(top)
         if not os.path.isdir(top):
             raise ValidationError(f"--emit-bridges: {top!r} is not a directory")
-    for flag, path in (("--out", args.out), ("--emit-null", args.emit_null)):
+        if os.path.isdir(bridge_dir):
+            files = [("--emit-bridges", _bridge_path(bridge_dir, name))
+                     for name in columns] + list(files)
+    for flag, path in files:
         if path and os.path.isdir(path):
             raise ValidationError(f"{flag}: {path!r} is a directory")
         if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
@@ -219,7 +226,8 @@ def cmd_test(args) -> int:
               file=sys.stderr)
     schema = ColumnSchema(order=_parse_columns(args.order_columns),
                           response=args.response, intercept=intercept)
-    _check_targets(args, schema.order)
+    check_targets([("--out", args.out), ("--emit-null", args.emit_null)],
+                  args.emit_bridges, schema.order)
     data = load_csv(args.input, schema)
     try:
         result = run_adequacy_test(data, grid_m=args.grid,
@@ -249,248 +257,24 @@ def cmd_test(args) -> int:
     if args.emit_bridges:
         os.makedirs(args.emit_bridges, exist_ok=True)
         for b in result.bridges:
-            name = data.regressor_names[b.column]
-            write_bridge_csv(b, os.path.join(args.emit_bridges,
-                                             f"bridge_{name}.csv"))
+            write_bridge_csv(b, _bridge_path(args.emit_bridges,
+                                             data.regressor_names[b.column]))
     if args.emit_null:
         write_null_samples_csv(result.null, args.emit_null)
     return EXIT_OK
 
 
 # ======================================================================
-# simulate subcommand
-# ======================================================================
-
-# Breach record of each `simulate --model` but h0, and power `breach.kind`.
-_BREACHES = {"add-quadratic": AddQuadratic, "heteroscedastic": Heteroscedastic}
-
-
-def _build_model(args) -> SyntheticModel:
-    d = args.order_dim
-    if d < 1:
-        raise ValidationError("--order-dim must be >= 1")
-    if args.copula == "independence":
-        copula = IndependenceCopula(d)
-    elif args.copula == "gaussian":
-        copula = GaussianCopula(exchangeable_correlation(d, args.rho))
-    else:
-        raise ValidationError(
-            f"unknown --copula {args.copula!r} (use independence or gaussian)")
-    if args.quantile == "identity":
-        qs = tuple(AffineQuantile() for _ in range(d))
-    elif args.quantile == "affine":
-        qs = tuple(AffineQuantile(shift=args.q_shift, scale=args.q_scale)
-                   for _ in range(d))
-    else:
-        raise ValidationError(
-            f"unknown --quantile {args.quantile!r} (use identity or affine)")
-    if args.theta is None:
-        theta = tuple([1.0] * d + [0.0])
-    else:
-        try:
-            theta = tuple(float(v) for v in args.theta.split(","))
-        except ValueError:
-            raise ValidationError(
-                f"--theta must be comma-separated numbers, got {args.theta!r}"
-            ) from None
-    if args.noise not in ("normal", "uniform"):
-        raise ValidationError(
-            f"unknown --noise {args.noise!r} (use normal or uniform)")
-    return SyntheticModel(copula=copula, quantile_funcs=qs, theta=theta,
-                          noise=NoiseSpec(args.noise, args.noise_var))
-
-
-def cmd_simulate(args) -> int:
-    if not (math.isfinite(args.noise_var) and args.noise_var >= 0):
-        raise ValidationError(
-            f"--noise-var must be finite and >= 0, got {args.noise_var}")
-    model = _build_model(args)
-    breach = None
-    if args.model != "h0":
-        if args.model not in _BREACHES:
-            raise ValidationError(
-                f"unknown --model {args.model!r} "
-                "(use h0, add-quadratic, or heteroscedastic)")
-        if not 0 <= args.breach_column < model.d1:
-            raise ValidationError(
-                f"--breach-column must lie in 0..{model.d1 - 1}, "
-                f"got {args.breach_column}")
-        if not math.isfinite(args.coef):
-            raise ValidationError(f"--coef must be finite, got {args.coef}")
-        breach = _BREACHES[args.model](args.coef, args.breach_column)
-    write_csv(sample_alternative(model, breach, args.n, args.seed), args.out)
-    return EXIT_OK
-
-
-# ======================================================================
-# verify subcommand
-# ======================================================================
-
-# Fixture fields that the verify flags override when given.
-_OVERRIDES = {"n": "n", "replicates": "replicates", "seed": "seed",
-              "alpha": "level", "grid": "grid_m"}
-
-
-def _size_band(level: float, nominal: float, halfwidth: float) -> float:
-    """Rate tolerance around `level`, scaled like a binomial deviation.
-
-    Shrinks to 0 at level 1 (every p-value is <= 1, so the rate must be
-    exactly 1 there) and reproduces `halfwidth` at the nominal level.
-    """
-    return halfwidth * math.sqrt(level * (1.0 - level)
-                                 / (nominal * (1.0 - nominal)))
-
-
-def _pass(ok: bool) -> str:
-    return "PASS" if ok else "FAIL"
-
-
-def _cells(verify_name: str, points: str):
-    """Runner of one case of a moment-comparison experiment in `mclab`."""
-    def run(cfg: dict, args, table: str | None):
-        from . import fixtures, mclab
-        rep = getattr(mclab, verify_name)(
-            fixtures.get_model(cfg["model"]), cfg["n"], cfg["replicates"],
-            np.asarray(cfg[points], dtype=float), cfg["seed"], cfg["tolerance"])
-        if table:
-            rep.write_cells_csv(table)
-        return rep.to_json_dict(), [
-            f"{rep.experiment}[{cfg['model']}]: max |emp - target| = "
-            f"{rep.max_abs_error:.4f} (tolerance {rep.tolerance:g}) "
-            f"{_pass(rep.passed)}"], rep.passed
-    return run
-
-
-def _study(cfg: dict, args, breach=None):
-    from . import fixtures, mclab
-    return mclab.size_power_study(
-        fixtures.get_model(cfg["model"]), breach, cfg["n_values"], cfg["level"],
-        cfg["replicates"], cfg["seed"], inner_replicates=cfg["inner_replicates"],
-        grid_m=cfg["grid_m"], n_jobs=args.n_jobs)
-
-
-def _judged(study, checks: list[str], passed: bool):
-    payload = {**study.to_json_dict(), "checks": checks, "passed": passed}
-    return payload, checks, passed
-
-
-def _run_size(cfg: dict, args, table):
-    study, level = _study(cfg, args), cfg["level"]
-    band = _size_band(level, cfg["nominal_level"],
-                      cfg["band_halfwidth_at_nominal"])
-    oks = [abs(rate - level) <= band for rate in study.rates]
-    checks = [f"n={n}: rate {rate:.4f} vs level {level:g} "
-              f"(band +/-{band:.4f}) {_pass(ok)}"
-              for n, rate, ok in zip(study.n_values, study.rates, oks)]
-    return _judged(study, checks, all(oks))
-
-
-def _run_power(cfg: dict, args, table):
-    breach = cfg["breach"]
-    if breach["kind"] not in _BREACHES:
-        raise ValidationError(f"unknown breach kind {breach['kind']!r}")
-    study = _study(cfg, args,
-                   _BREACHES[breach["kind"]](breach["coef"], breach["column"]))
-    rates = study.rates
-    floor = cfg["min_rate_ratio"] * cfg["level"]
-    mono = all(b >= a for a, b in zip(rates, rates[1:]))
-    exceeds = rates[-1] > floor
-    checks = ["rates " + " -> ".join(f"{r:.4f}" for r in rates)
-              + f" nondecreasing {_pass(mono)}",
-              f"rate at n={study.n_values[-1]} is {rates[-1]:.4f} > {floor:g} "
-              f"{_pass(exceeds)}"]
-    return _judged(study, checks, mono and exceeds)
-
-
-def _run_gram_identity(cfg: dict, args, table):
-    from .fixtures import get_gram_case
-    tol = cfg["tolerance"]
-    cells = [{"case": case,
-              "max_abs_error": verify_gram_identity(get_gram_case(case), 0)}
-             for case in cfg["cases"]]
-    lines = [f"gram-identity[{c['case']}]: max error {c['max_abs_error']:.2e} "
-             f"{_pass(c['max_abs_error'] <= tol)}" for c in cells]
-    worst = max(c["max_abs_error"] for c in cells)
-    return ({"experiment": "gram-identity", "tolerance": tol,
-             "max_abs_error": worst, "passed": worst <= tol, "cells": cells},
-            lines, worst <= tol)
-
-
-# Each runner takes one merged fixture case, the parsed arguments and the
-# cell-table path (or None), and returns its payload, its printed lines
-# and its pass flag.  Experiments in `_PER_CASE` run once per entry of
-# their fixture's "cases"; the others take their fixture whole.
-_EXPERIMENTS = {
-    "field": _cells("verify_field_covariance", "queries"),
-    "sums": _cells("verify_sum_covariance", "levels"),
-    "bridges": _cells("verify_bridge_covariance", "levels"),
-    "size": _run_size,
-    "power": _run_power,
-    "gram-identity": _run_gram_identity,
-}
-_PER_CASE = frozenset({"field", "sums", "bridges"})
-
-
-def _ignored_flags(name: str, args, case: dict) -> list[str]:
-    """The given verify flags that experiment `name` does not read.
-
-    An override flag applies when the fixture case has the field it sets
-    (``--n`` sets ``n`` or ``n_values``); only the size and power studies
-    run a process pool, and only the per-case experiments write a cell
-    table.
-    """
-    fields = set(case) | ({"n"} if "n_values" in case else set())
-    flags = [flag for flag, key in _OVERRIDES.items()
-             if getattr(args, flag) is not None and key not in fields]
-    if args.n_jobs != 1 and name not in ("size", "power"):
-        flags.append("n_jobs")
-    if args.emit_table is not None and name not in _PER_CASE:
-        flags.append("emit_table")
-    return flags
-
-
-def cmd_verify(args) -> int:
-    name = args.experiment
-    if name not in _EXPERIMENTS:
-        raise ValidationError(
-            f"unknown experiment {name!r}; choose from "
-            f"{', '.join(_EXPERIMENTS)}")
-    from .fixtures import load_experiment_defaults
-    fixture = load_experiment_defaults()[name]
-    cases = fixture.get("cases", [fixture]) if name in _PER_CASE else [fixture]
-    for flag in _ignored_flags(name, args, cases[0]):
-        print(f"warning: --{flag.replace('_', '-')} does not apply to "
-              f"experiment {name!r}; ignored", file=sys.stderr)
-    overrides = {key: getattr(args, flag) for flag, key in _OVERRIDES.items()
-                 if getattr(args, flag) is not None}
-    if args.n is not None:
-        overrides["n_values"] = [args.n]
-
-    results = []
-    for case in cases:
-        table = args.emit_table
-        if table and len(cases) > 1:
-            root, ext = os.path.splitext(table)
-            table = f"{root}_{case['model']}{ext or '.csv'}"
-        results.append(_EXPERIMENTS[name]({**case, **overrides}, args, table))
-    reports, lines, oks = zip(*results)
-    passed = all(oks)
-
-    for case_lines in lines:
-        for line in case_lines:
-            print(line)
-    if args.out:
-        payload = reports[0] if len(reports) == 1 else {"experiment": name,
-                                                        "cases": list(reports)}
-        with open(args.out, "w") as fh:
-            fh.write(canonical_json(payload))
-    print(f"experiment {name!r}: {_pass(passed)}")
-    return EXIT_OK if passed else EXIT_TOLERANCE
-
-
-# ======================================================================
 # parser and entry point
 # ======================================================================
+
+def _lab_command(name: str):
+    """The `mclab` subcommand `name`, imported when it runs."""
+    def run(args):
+        from . import mclab
+        return getattr(mclab, name)(args)
+    return run
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -549,12 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="breach strength for the alternative models")
     p_sim.add_argument("--breach-column", type=int, default=0,
                        help="0-based ordering column the breach acts on")
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(func=_lab_command("cmd_simulate"))
 
     p_ver = sub.add_parser(
         "verify", help="run a shipped Monte Carlo verification experiment")
     p_ver.add_argument("--experiment", required=True,
-                       help=", ".join(_EXPERIMENTS))
+                       help="field, sums, bridges, size, power, gram-identity")
     p_ver.add_argument("--n", type=int, default=None,
                        help="override the fixture sample size")
     p_ver.add_argument("--replicates", type=int, default=None,
@@ -570,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--out", default=None, help="write a JSON report here")
     p_ver.add_argument("--emit-table", default=None, metavar="PATH",
                        help="write the cell table as CSV")
-    p_ver.set_defaults(func=cmd_verify)
+    p_ver.set_defaults(func=_lab_command("cmd_verify"))
     return parser
 
 

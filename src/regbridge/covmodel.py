@@ -1,4 +1,4 @@
-"""Limit covariance kernel of the residual bridges, estimated or in closed form.
+"""Limit covariance kernel of the residual bridges, estimated from the data.
 
 The bridge vector converges to a centered Gaussian process whose covariance
 between ordering slots i and j at levels (s, t) is
@@ -8,10 +8,8 @@ between ordering slots i and j at levels (s, t) is
 where C is the pairwise copula cdf of the ordering regressors (min(s, t)
 on the diagonal), L_j is the running mean of the full regressor vector
 along the rows sorted by column j, and G is the normalized Gram matrix.
-`CovarianceModel` assembles the kernel from a curve L and a cdf C, which
-come in two forms: `EmpiricalCovariance` estimates them from a dataset,
-and `IndependenceCovariance` is the closed form for independent uniform
-coordinates through affine margins.
+`CovarianceModel` assembles the kernel from a curve L and a cdf C, and
+`EmpiricalCovariance` estimates both from a dataset.
 
 The empirical L and C are read at the bridge's nodes [nt], L in place
 from each ordering's table of running sums (see `ordering`).  So ties
@@ -30,22 +28,16 @@ from __future__ import annotations
 import numpy as np
 
 from .bridge import check_levels, floor_index
-from .dataset import (AffineQuantile, Dataset, IndependenceCopula,
-                      SyntheticModel)
-from .errors import SingularDesignError, UnsupportedModelError, ValidationError
+from .dataset import Dataset
+from .errors import SingularDesignError, ValidationError
 from .ols import COND_THRESHOLD
 from .ordering import OrderedView
 
 __all__ = [
     "CovarianceModel",
     "EmpiricalCovariance",
-    "IndependenceCovariance",
     "empirical_covariance",
-    "analytic_covariance",
-    "verify_gram_identity",
 ]
-
-_QUAD_TOL = 1e-11
 
 
 def _spd_inverse(G: np.ndarray) -> np.ndarray:
@@ -162,63 +154,6 @@ class EmpiricalCovariance(CovarianceModel):
                 .take(np.searchsorted(st, tt, side="left"), axis=1) / self.n)
 
 
-class IndependenceCovariance(CovarianceModel):
-    """Closed-form kernel for independent uniform coordinates mapped
-    through the affine margins `quantiles`, plus a trailing intercept.
-
-    Slot j orders by coordinate j, so C is s*t between slots and min(s, t)
-    within one.  With no margins this is the intercept-only design
-    ordered by one latent coordinate: L(t) = (t) and G = (1), and the
-    kernel is the pinned-bridge covariance min(s, t) - s*t.  `h`, `b2`
-    and `gram` are the conditional moments and the second-moment matrix
-    that `verify_gram_identity` checks against each other.
-    """
-
-    def __init__(self, quantiles: tuple[AffineQuantile, ...] = ()):
-        self.quantiles = tuple(quantiles)
-        self.p = len(self.quantiles) + 1
-        self.means = np.array([q.mean() for q in self.quantiles])
-        self.second_moments = np.array([q.second_moment() for q in self.quantiles])
-        super().__init__(range(max(len(self.quantiles), 1)), self.gram())
-
-    def h(self, j: int, x: float) -> np.ndarray:
-        """Conditional mean of the regressor vector given coordinate j = x."""
-        self._check_slot(j)
-        out = np.empty(self.p)
-        for a, q in enumerate(self.quantiles):
-            out[a] = float(q(x)) if a == j else self.means[a]
-        out[-1] = 1.0
-        return out
-
-    def b2(self, j: int, x: float) -> np.ndarray:
-        """Conditional covariance of the regressor vector given coordinate j = x."""
-        self._check_slot(j)
-        diag = np.append(self.second_moments - self.means ** 2, 0.0)
-        if self.quantiles:
-            diag[j] = 0.0
-        return np.diag(diag)
-
-    def gram(self) -> np.ndarray:
-        """Second-moment matrix of the regressor vector."""
-        G = np.outer(np.append(self.means, 1.0), np.append(self.means, 1.0))
-        for a, m2 in enumerate(self.second_moments):
-            G[a, a] = m2
-        return G
-
-    def curve(self, slot: int, t: np.ndarray) -> np.ndarray:
-        """Integral of h(slot, .) from 0 to each t, shape (len(t), p)."""
-        out = np.empty((t.shape[0], self.p))
-        for a, q in enumerate(self.quantiles):
-            out[:, a] = q.partial_integral(t) if a == slot else self.means[a] * t
-        out[:, -1] = t
-        return out
-
-    def cdf_grid(self, i: int, j: int, svals, tvals) -> np.ndarray:
-        if i == j:
-            return np.minimum.outer(svals, tvals)
-        return np.outer(svals, tvals)
-
-
 def empirical_covariance(data: Dataset, views: tuple[OrderedView, ...],
                          gram: np.ndarray) -> EmpiricalCovariance:
     """Covariance model estimated from the data; `gram` is ``fit.gram``."""
@@ -228,36 +163,3 @@ def empirical_covariance(data: Dataset, views: tuple[OrderedView, ...],
         data.order_columns, gram, views,
         values=tuple(data.regressors[:, j] for j in data.order_columns))
 
-
-def analytic_covariance(model: SyntheticModel) -> IndependenceCovariance:
-    """Closed-form covariance model for independent latent coordinates."""
-    if not isinstance(model.copula, IndependenceCopula):
-        raise UnsupportedModelError(
-            "closed-form kernel ingredients exist only for the independence copula")
-    return IndependenceCovariance(model.quantile_funcs)
-
-
-def verify_gram_identity(model, j: int = 0) -> float:
-    """Max entrywise error of integral(b2 + h'h) dx against the Gram matrix.
-
-    Accepts a :class:`SyntheticModel` with independent latent coordinates
-    or an :class:`IndependenceCovariance` directly.  The integral runs
-    over the conditioning coordinate j.
-    """
-    if isinstance(model, SyntheticModel):
-        model = analytic_covariance(model)
-    elif not isinstance(model, IndependenceCovariance):
-        raise ValidationError(f"unsupported model type {type(model).__name__}")
-    from scipy.integrate import quad
-
-    G = model.gram()
-    err = 0.0
-    for a in range(model.p):
-        for b in range(a, model.p):
-            def entry(x, a=a, b=b):
-                h = model.h(j, x)
-                return model.b2(j, x)[a, b] + h[a] * h[b]
-
-            val = quad(entry, 0.0, 1.0, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)[0]
-            err = max(err, float(abs(val - G[a, b])))
-    return err

@@ -1,5 +1,15 @@
 """Shipped synthetic models and experiment defaults for the verification lab.
 
+A synthetic model draws latent coordinates from a copula on the unit cube,
+maps each coordinate through an affine margin q(u) = shift + scale * u
+(:class:`AffineQuantile`) to obtain the ordering regressors, appends an
+intercept, and builds the response either from a linear predictor plus
+centered noise (regression mode, where a breach record, :class:`AddQuadratic`
+or :class:`Heteroscedastic`, can break the linear model) or from a
+user-supplied conditional mean and variance (concomitant mode).
+:class:`IndependenceCovariance` is the closed-form limit kernel of the
+regression mode under the independence copula.
+
 Conditional-moment maps live here as module-level functions so study
 replicates can cross process boundaries.  Experiment defaults (sample
 sizes, replicate counts, seeds, grids, tolerances) are pinned in
@@ -10,31 +20,361 @@ the shipped experiments are deterministic checks, not coin flips.
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import dataclass
 from importlib import resources
+from typing import Callable
 
 import numpy as np
 
-from .covmodel import IndependenceCovariance
-from .dataset import (AffineQuantile, IndependenceCopula, NoiseSpec,
-                      SyntheticModel)
-from .errors import ValidationError
+from .covmodel import CovarianceModel
+from .dataset import Dataset, _readonly
+from .errors import UnsupportedModelError, ValidationError
+from .rng import as_seed_key, philox_stream
 
 __all__ = [
-    "zero_mean",
-    "unit_variance",
-    "centered_first_coordinate",
-    "field_model",
-    "zero_mean_field_model",
-    "single_uniform_model",
-    "two_uniform_model",
-    "affine_model",
-    "pinned_bridge_covariance",
-    "get_model",
-    "get_gram_case",
-    "load_experiment_defaults",
-    "MODELS",
-    "GRAM_CASES",
+    "AffineQuantile", "IndependenceCopula", "GaussianCopula",
+    "exchangeable_correlation", "NoiseSpec", "SyntheticModel", "AddQuadratic",
+    "Heteroscedastic", "sample_h0", "sample_alternative", "sample_concomitant",
+    "IndependenceCovariance", "analytic_covariance",
+    "zero_mean", "unit_variance", "centered_first_coordinate", "field_model",
+    "zero_mean_field_model", "single_uniform_model", "two_uniform_model",
+    "affine_model", "pinned_bridge_covariance", "get_model", "get_gram_case",
+    "load_experiment_defaults", "MODELS", "GRAM_CASES",
 ]
+
+
+# ======================================================================
+# Margins
+# ======================================================================
+
+@dataclass(frozen=True)
+class AffineQuantile:
+    """Affine margin q(u) = shift + scale * u; the defaults give q(u) = u.
+
+    A finite shift and a finite, nonnegative scale keep q finite and
+    nondecreasing on [0, 1].
+    """
+
+    shift: float = 0.0
+    scale: float = 1.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.shift) and math.isfinite(self.scale)):
+            raise ValidationError("affine quantile shift and scale must be "
+                                  f"finite, got {self.shift}, {self.scale}")
+        if self.scale < 0:
+            raise ValidationError("affine quantile scale must be >= 0")
+
+    def __call__(self, u):
+        return self.shift + self.scale * np.asarray(u, dtype=float)
+
+    def mean(self) -> float:
+        """Integral of q over [0, 1]."""
+        return self.shift + 0.5 * self.scale
+
+    def second_moment(self) -> float:
+        """Integral of q**2 over [0, 1]."""
+        return self.shift ** 2 + self.shift * self.scale + self.scale ** 2 / 3.0
+
+    def partial_integral(self, x) -> np.ndarray:
+        """Integral of q over [0, x], elementwise."""
+        x = np.asarray(x, dtype=float)
+        return self.shift * x + 0.5 * self.scale * x ** 2
+
+
+# ======================================================================
+# Copulas
+# ======================================================================
+
+@dataclass(frozen=True)
+class IndependenceCopula:
+    """Independent uniform coordinates."""
+
+    d: int
+
+    def __post_init__(self):
+        if self.d < 1:
+            raise ValidationError("copula dimension must be >= 1")
+
+    @property
+    def dim(self) -> int:
+        return self.d
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.random((n, self.d))
+
+
+@dataclass(frozen=True, eq=False)
+class GaussianCopula:
+    """Gaussian copula: U = Phi(Z) with Z ~ N(0, correlation)."""
+
+    correlation: np.ndarray
+
+    def __post_init__(self):
+        corr = np.asarray(self.correlation, dtype=float)
+        if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
+            raise ValidationError("correlation must be a square matrix")
+        if not np.allclose(corr, corr.T, atol=1e-12):
+            raise ValidationError("correlation matrix must be symmetric")
+        if not np.allclose(np.diag(corr), 1.0, atol=1e-12):
+            raise ValidationError("correlation matrix needs a unit diagonal")
+        corr = 0.5 * (corr + corr.T)
+        try:
+            chol = np.linalg.cholesky(corr)
+        except np.linalg.LinAlgError:
+            raise ValidationError("correlation matrix must be positive definite")
+        object.__setattr__(self, "correlation", _readonly(corr))
+        object.__setattr__(self, "_chol", chol)
+
+    @property
+    def dim(self) -> int:
+        return self.correlation.shape[0]
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        from scipy.special import ndtr
+
+        z = rng.standard_normal((n, self.dim)) @ self._chol.T
+        return ndtr(z)
+
+
+def exchangeable_correlation(d: int, rho: float) -> np.ndarray:
+    """Correlation matrix with a common off-diagonal value."""
+    if not -1.0 / max(d - 1, 1) < rho < 1.0:
+        raise ValidationError(f"exchangeable correlation {rho} is not valid for d={d}")
+    return np.full((d, d), rho) + (1.0 - rho) * np.eye(d)
+
+
+# ======================================================================
+# Noise
+# ======================================================================
+
+@dataclass(frozen=True)
+class NoiseSpec:
+    """Centered noise law with a chosen variance.
+
+    `kind` is "normal" or "uniform"; variance 0 gives the degenerate
+    zero-noise case used by exactness tests.
+    """
+
+    kind: str = "normal"
+    variance: float = 1.0
+
+    def __post_init__(self):
+        if self.kind not in ("normal", "uniform"):
+            raise ValidationError(f"unknown noise kind {self.kind!r}")
+        if not (math.isfinite(self.variance) and self.variance >= 0):
+            raise ValidationError("noise variance must be finite and >= 0")
+
+    def sample_unit(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Draw n unit-variance centered noise values."""
+        if self.kind == "normal":
+            return rng.standard_normal(n)
+        half = math.sqrt(3.0)
+        return rng.uniform(-half, half, n)
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return math.sqrt(self.variance) * self.sample_unit(rng, n)
+
+
+# ======================================================================
+# Synthetic models and samplers
+# ======================================================================
+
+@dataclass(frozen=True)
+class SyntheticModel:
+    """Generative model for Monte Carlo runs.
+
+    Regression mode needs `theta` (one coefficient per ordering regressor
+    plus a trailing intercept coefficient).  Concomitant mode instead needs
+    `cond_mean` and `cond_var`, callables on the (n, d1) latent block that
+    return per-row conditional means and variances of the response.
+    """
+
+    copula: IndependenceCopula | GaussianCopula
+    quantile_funcs: tuple[AffineQuantile, ...] = ()
+    theta: tuple[float, ...] | None = None
+    noise: NoiseSpec = NoiseSpec()
+    cond_mean: Callable | None = None
+    cond_var: Callable | None = None
+
+    def __post_init__(self):
+        qs = tuple(self.quantile_funcs) or tuple(
+            AffineQuantile() for _ in range(self.copula.dim))
+        if len(qs) != self.copula.dim:
+            raise ValidationError(
+                f"{len(qs)} margins given for copula dimension {self.copula.dim}")
+        if not all(isinstance(q, AffineQuantile) for q in qs):
+            raise ValidationError("every margin must be an AffineQuantile")
+        object.__setattr__(self, "quantile_funcs", qs)
+        if self.theta is not None:
+            th = tuple(float(v) for v in self.theta)
+            if len(th) != self.d1 + 1:
+                raise ValidationError(
+                    f"theta needs {self.d1 + 1} entries "
+                    f"({self.d1} slopes plus an intercept), got {len(th)}")
+            object.__setattr__(self, "theta", th)
+
+    @property
+    def d1(self) -> int:
+        """Number of ordering coordinates."""
+        return self.copula.dim
+
+    def column_names(self) -> tuple[str, ...]:
+        return tuple(f"x{j + 1}" for j in range(self.d1)) + ("const",)
+
+
+@dataclass(frozen=True)
+class AddQuadratic:
+    """Breach of the linear mean: coef * x_column**2 joins the response."""
+
+    coef: float
+    column: int = 0
+
+
+@dataclass(frozen=True)
+class Heteroscedastic:
+    """Breach of the noise law: noise scaled by sqrt(1 + coef * x_column**2)."""
+
+    coef: float
+    column: int = 0
+
+
+def sample_h0(model: SyntheticModel, n: int, seed) -> Dataset:
+    """Draw a dataset with the linear response intact (breach None)."""
+    return sample_alternative(model, None, n, seed)
+
+
+def sample_alternative(model: SyntheticModel, breach, n: int, seed) -> Dataset:
+    """Draw a regression dataset under `breach`, or under the null if None.
+
+    A breach acts on an ordering column, 0..d1 - 1.  The stream of `seed`
+    gives the design X, then the noise eps; the response is X @ theta,
+    plus coef * x**2 for AddQuadratic, plus eps, scaled for Heteroscedastic.
+    So a breach with coef 0 reproduces the null draw of the seed bit for bit.
+    """
+    if model.theta is None:
+        raise ValidationError("regression sampling needs model.theta")
+    if breach is not None:
+        if not isinstance(breach, (AddQuadratic, Heteroscedastic)):
+            raise ValidationError(f"unknown breach kind {type(breach).__name__}")
+        if not 0 <= breach.column < model.d1:
+            raise ValidationError(
+                f"breach column {breach.column} outside 0..{model.d1 - 1}")
+    if n < 1:
+        raise ValidationError("n >= 1 required")
+    rng = philox_stream(*as_seed_key(seed))
+    U = model.copula.sample(n, rng)
+    cols = [q(U[:, j]) for j, q in enumerate(model.quantile_funcs)]
+    for j, c in enumerate(cols):
+        if np.any(np.diff(np.sort(c)) == 0):
+            raise ValidationError(
+                f"ordering column {j} has ties; its margin is not strictly "
+                "increasing on the sampled range")
+    X = np.column_stack(cols + [np.ones(n)])
+    eps = model.noise.sample(rng, n)
+    response = X @ np.asarray(model.theta)
+    if isinstance(breach, AddQuadratic):
+        response += breach.coef * X[:, breach.column] ** 2
+    elif isinstance(breach, Heteroscedastic):
+        # nan where 1 + coef * x^2 < 0: reported below, not by numpy
+        with np.errstate(invalid="ignore"):
+            scale = np.sqrt(1.0 + breach.coef * X[:, breach.column] ** 2)
+        if not np.all((scale > 0) & np.isfinite(scale)):
+            raise ValidationError("noise scale map must be positive and finite")
+        eps = scale * eps
+    d = model.d1
+    return Dataset(X, response + eps, order_columns=tuple(range(d)),
+                   intercept_column=d, regressor_names=model.column_names())
+
+
+def sample_concomitant(model: SyntheticModel, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Draw (X, Y) with X from the copula and Y from the conditional law.
+
+    Returns the raw latent block (n, d1), untransformed, together with
+    Y = cond_mean(X) + sqrt(cond_var(X)) * unit noise.
+    """
+    if model.cond_mean is None or model.cond_var is None:
+        raise ValidationError("concomitant sampling needs cond_mean and cond_var")
+    if n < 1:
+        raise ValidationError("n >= 1 required")
+    rng = philox_stream(*as_seed_key(seed))
+    X = model.copula.sample(n, rng)
+    m = np.broadcast_to(np.asarray(model.cond_mean(X), dtype=float), (n,))
+    s2 = np.broadcast_to(np.asarray(model.cond_var(X), dtype=float), (n,))
+    if np.any(s2 < 0) or not np.all(np.isfinite(s2)):
+        raise ValidationError("cond_var must be finite and >= 0")
+    Y = m + np.sqrt(s2) * model.noise.sample_unit(rng, n)
+    return X, Y
+
+
+# ======================================================================
+# Closed-form kernel (independent latent coordinates)
+# ======================================================================
+
+class IndependenceCovariance(CovarianceModel):
+    """Closed-form kernel for independent uniform coordinates mapped
+    through the affine margins `quantiles`, plus a trailing intercept.
+
+    Slot j orders by coordinate j, so C is s*t between slots and min(s, t)
+    within one.  With no margins this is the intercept-only design
+    ordered by one latent coordinate: L(t) = (t) and G = (1), and the
+    kernel is the pinned-bridge covariance min(s, t) - s*t.  `h`, `b2`
+    and `gram` are the conditional moments and the second-moment matrix
+    that `verify_gram_identity` checks against each other.
+    """
+
+    def __init__(self, quantiles: tuple[AffineQuantile, ...] = ()):
+        self.quantiles = tuple(quantiles)
+        self.p = len(self.quantiles) + 1
+        self.means = np.array([q.mean() for q in self.quantiles])
+        self.second_moments = np.array([q.second_moment() for q in self.quantiles])
+        super().__init__(range(max(len(self.quantiles), 1)), self.gram())
+
+    def h(self, j: int, x: float) -> np.ndarray:
+        """Conditional mean of the regressor vector given coordinate j = x."""
+        self._check_slot(j)
+        out = np.empty(self.p)
+        for a, q in enumerate(self.quantiles):
+            out[a] = float(q(x)) if a == j else self.means[a]
+        out[-1] = 1.0
+        return out
+
+    def b2(self, j: int, x: float) -> np.ndarray:
+        """Conditional covariance of the regressor vector given coordinate j = x."""
+        self._check_slot(j)
+        diag = np.append(self.second_moments - self.means ** 2, 0.0)
+        if self.quantiles:
+            diag[j] = 0.0
+        return np.diag(diag)
+
+    def gram(self) -> np.ndarray:
+        """Second-moment matrix of the regressor vector."""
+        G = np.outer(np.append(self.means, 1.0), np.append(self.means, 1.0))
+        for a, m2 in enumerate(self.second_moments):
+            G[a, a] = m2
+        return G
+
+    def curve(self, slot: int, t: np.ndarray) -> np.ndarray:
+        """Integral of h(slot, .) from 0 to each t, shape (len(t), p)."""
+        out = np.empty((t.shape[0], self.p))
+        for a, q in enumerate(self.quantiles):
+            out[:, a] = q.partial_integral(t) if a == slot else self.means[a] * t
+        out[:, -1] = t
+        return out
+
+    def cdf_grid(self, i: int, j: int, svals, tvals) -> np.ndarray:
+        if i == j:
+            return np.minimum.outer(svals, tvals)
+        return np.outer(svals, tvals)
+
+
+def analytic_covariance(model: SyntheticModel) -> IndependenceCovariance:
+    """Closed-form covariance model for independent latent coordinates."""
+    if not isinstance(model.copula, IndependenceCopula):
+        raise UnsupportedModelError(
+            "closed-form kernel ingredients exist only for the independence copula")
+    return IndependenceCovariance(model.quantile_funcs)
 
 
 # ======================================================================

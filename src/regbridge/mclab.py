@@ -17,23 +17,32 @@ A fourth experiment measures rejection rates of the full test pipeline
 under the null and under model breaches.  All targets are integrals of the
 conditional moments over boxes, computed by adaptive quadrature, and all
 empirical moments are uncentered: each compared process has exact mean
-zero by construction.
+zero by construction.  A fifth checks the closed-form Gram identity of
+`fixtures.IndependenceCovariance` by quadrature.  `cmd_simulate` and
+`cmd_verify` are the CLI's ``simulate`` and ``verify`` commands.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import fixtures
 from .adequacy import run_adequacy_test
 from .bridge import check_levels, evaluate, floor_index, residual_bridge
-from .covmodel import analytic_covariance
-from .dataset import (IndependenceCopula, SyntheticModel, sample_alternative,
-                      sample_concomitant, sample_h0)
+from .cli import EXIT_OK, EXIT_TOLERANCE, canonical_json, check_targets
+from .dataset import write_csv
 from .errors import UnsupportedModelError, ValidationError
+from .fixtures import (AddQuadratic, AffineQuantile, GaussianCopula,
+                       Heteroscedastic, IndependenceCopula,
+                       IndependenceCovariance, NoiseSpec, SyntheticModel,
+                       analytic_covariance, exchangeable_correlation,
+                       sample_alternative, sample_concomitant, sample_h0)
 from .ols import fit_lse
 from .ordering import all_orderings
 from .rng import as_seed_key
@@ -47,10 +56,12 @@ __all__ = [
     "verify_field_covariance",
     "verify_sum_covariance",
     "verify_bridge_covariance",
+    "verify_gram_identity",
     "size_power_study",
 ]
 
 _NQUAD_OPTS = {"epsabs": 1e-10, "epsrel": 1e-10}
+_QUAD_TOL = 1e-11
 
 
 # ======================================================================
@@ -363,6 +374,32 @@ def verify_bridge_covariance(model: SyntheticModel, n: int, replicates: int,
          "levels": levels.tolist()}, tolerance, t0)
 
 
+def verify_gram_identity(model, j: int = 0) -> float:
+    """Max entrywise error of integral(b2 + h'h) dx against the Gram matrix.
+
+    Accepts a :class:`SyntheticModel` with independent latent coordinates
+    or an :class:`IndependenceCovariance` directly.  The integral runs
+    over the conditioning coordinate j.
+    """
+    if isinstance(model, SyntheticModel):
+        model = analytic_covariance(model)
+    elif not isinstance(model, IndependenceCovariance):
+        raise ValidationError(f"unsupported model type {type(model).__name__}")
+    from scipy.integrate import quad
+
+    G = model.gram()
+    err = 0.0
+    for a in range(model.p):
+        for b in range(a, model.p):
+            def entry(x, a=a, b=b):
+                h = model.h(j, x)
+                return model.b2(j, x)[a, b] + h[a] * h[b]
+
+            val = quad(entry, 0.0, 1.0, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)[0]
+            err = max(err, float(abs(val - G[a, b])))
+    return err
+
+
 # ======================================================================
 # Size and power
 # ======================================================================
@@ -453,3 +490,225 @@ def size_power_study(model: SyntheticModel, breach, n_values, level: float,
         replicates=replicates, inner_replicates=inner_replicates,
         grid_m=grid_m, seed=key,
         elapsed_seconds=time.perf_counter() - t0)
+
+
+# ======================================================================
+# simulate and verify subcommands
+# ======================================================================
+
+# Breach record of each `simulate --model` but h0, and power `breach.kind`.
+_BREACHES = {"add-quadratic": AddQuadratic, "heteroscedastic": Heteroscedastic}
+
+
+def _build_model(args) -> SyntheticModel:
+    d = args.order_dim
+    if d < 1:
+        raise ValidationError("--order-dim must be >= 1")
+    if args.copula == "independence":
+        copula = IndependenceCopula(d)
+    elif args.copula == "gaussian":
+        copula = GaussianCopula(exchangeable_correlation(d, args.rho))
+    else:
+        raise ValidationError(
+            f"unknown --copula {args.copula!r} (use independence or gaussian)")
+    if args.quantile == "identity":
+        qs = tuple(AffineQuantile() for _ in range(d))
+    elif args.quantile == "affine":
+        qs = tuple(AffineQuantile(shift=args.q_shift, scale=args.q_scale)
+                   for _ in range(d))
+    else:
+        raise ValidationError(
+            f"unknown --quantile {args.quantile!r} (use identity or affine)")
+    if args.theta is None:
+        theta = tuple([1.0] * d + [0.0])
+    else:
+        try:
+            theta = tuple(float(v) for v in args.theta.split(","))
+        except ValueError:
+            raise ValidationError(
+                f"--theta must be comma-separated numbers, got {args.theta!r}"
+            ) from None
+    if args.noise not in ("normal", "uniform"):
+        raise ValidationError(
+            f"unknown --noise {args.noise!r} (use normal or uniform)")
+    return SyntheticModel(copula=copula, quantile_funcs=qs, theta=theta,
+                          noise=NoiseSpec(args.noise, args.noise_var))
+
+
+def cmd_simulate(args) -> int:
+    check_targets([("--out", args.out)])
+    if not (math.isfinite(args.noise_var) and args.noise_var >= 0):
+        raise ValidationError(
+            f"--noise-var must be finite and >= 0, got {args.noise_var}")
+    model = _build_model(args)
+    breach = None
+    if args.model != "h0":
+        if args.model not in _BREACHES:
+            raise ValidationError(
+                f"unknown --model {args.model!r} "
+                "(use h0, add-quadratic, or heteroscedastic)")
+        if not 0 <= args.breach_column < model.d1:
+            raise ValidationError(
+                f"--breach-column must lie in 0..{model.d1 - 1}, "
+                f"got {args.breach_column}")
+        if not math.isfinite(args.coef):
+            raise ValidationError(f"--coef must be finite, got {args.coef}")
+        breach = _BREACHES[args.model](args.coef, args.breach_column)
+    write_csv(sample_alternative(model, breach, args.n, args.seed), args.out)
+    return EXIT_OK
+
+# Fixture fields that the verify flags override when given.
+_OVERRIDES = {"n": "n", "replicates": "replicates", "seed": "seed",
+              "alpha": "level", "grid": "grid_m"}
+
+
+def _size_band(level: float, nominal: float, halfwidth: float) -> float:
+    """Rate tolerance around `level`, scaled like a binomial deviation.
+
+    Shrinks to 0 at level 1 (every p-value is <= 1, so the rate must be
+    exactly 1 there) and reproduces `halfwidth` at the nominal level.
+    """
+    return halfwidth * math.sqrt(level * (1.0 - level)
+                                 / (nominal * (1.0 - nominal)))
+
+
+def _pass(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
+
+
+def _cells(verify, points: str):
+    """Runner of one case of the moment-comparison experiment `verify`."""
+    def run(cfg: dict, args, table: str | None):
+        rep = verify(
+            fixtures.get_model(cfg["model"]), cfg["n"], cfg["replicates"],
+            np.asarray(cfg[points], dtype=float), cfg["seed"], cfg["tolerance"])
+        if table:
+            rep.write_cells_csv(table)
+        return rep.to_json_dict(), [
+            f"{rep.experiment}[{cfg['model']}]: max |emp - target| = "
+            f"{rep.max_abs_error:.4f} (tolerance {rep.tolerance:g}) "
+            f"{_pass(rep.passed)}"], rep.passed
+    return run
+
+
+def _study(cfg: dict, args, breach=None):
+    return size_power_study(
+        fixtures.get_model(cfg["model"]), breach, cfg["n_values"], cfg["level"],
+        cfg["replicates"], cfg["seed"], inner_replicates=cfg["inner_replicates"],
+        grid_m=cfg["grid_m"], n_jobs=args.n_jobs)
+
+
+def _judged(study, checks: list[str], passed: bool):
+    payload = {**study.to_json_dict(), "checks": checks, "passed": passed}
+    return payload, checks, passed
+
+
+def _run_size(cfg: dict, args, table):
+    study, level = _study(cfg, args), cfg["level"]
+    band = _size_band(level, cfg["nominal_level"],
+                      cfg["band_halfwidth_at_nominal"])
+    oks = [abs(rate - level) <= band for rate in study.rates]
+    checks = [f"n={n}: rate {rate:.4f} vs level {level:g} "
+              f"(band +/-{band:.4f}) {_pass(ok)}"
+              for n, rate, ok in zip(study.n_values, study.rates, oks)]
+    return _judged(study, checks, all(oks))
+
+
+def _run_power(cfg: dict, args, table):
+    breach = cfg["breach"]
+    if breach["kind"] not in _BREACHES:
+        raise ValidationError(f"unknown breach kind {breach['kind']!r}")
+    study = _study(cfg, args,
+                   _BREACHES[breach["kind"]](breach["coef"], breach["column"]))
+    rates = study.rates
+    floor = cfg["min_rate_ratio"] * cfg["level"]
+    mono = all(b >= a for a, b in zip(rates, rates[1:]))
+    exceeds = rates[-1] > floor
+    checks = ["rates " + " -> ".join(f"{r:.4f}" for r in rates)
+              + f" nondecreasing {_pass(mono)}",
+              f"rate at n={study.n_values[-1]} is {rates[-1]:.4f} > {floor:g} "
+              f"{_pass(exceeds)}"]
+    return _judged(study, checks, mono and exceeds)
+
+
+def _run_gram_identity(cfg: dict, args, table):
+    tol = cfg["tolerance"]
+    cells = [{"case": case, "max_abs_error": verify_gram_identity(
+        fixtures.get_gram_case(case), 0)} for case in cfg["cases"]]
+    lines = [f"gram-identity[{c['case']}]: max error {c['max_abs_error']:.2e} "
+             f"{_pass(c['max_abs_error'] <= tol)}" for c in cells]
+    worst = max(c["max_abs_error"] for c in cells)
+    return ({"experiment": "gram-identity", "tolerance": tol,
+             "max_abs_error": worst, "passed": worst <= tol, "cells": cells},
+            lines, worst <= tol)
+
+
+# Each runner takes one merged fixture case, the parsed arguments and the
+# cell-table path (or None), and returns its payload, its printed lines
+# and its pass flag.  Experiments in `_PER_CASE` run once per entry of
+# their fixture's "cases"; the others take their fixture whole.
+_EXPERIMENTS = {
+    "field": _cells(verify_field_covariance, "queries"),
+    "sums": _cells(verify_sum_covariance, "levels"),
+    "bridges": _cells(verify_bridge_covariance, "levels"),
+    "size": _run_size,
+    "power": _run_power,
+    "gram-identity": _run_gram_identity,
+}
+_PER_CASE = frozenset({"field", "sums", "bridges"})
+
+
+def _ignored_flags(name: str, args, case: dict) -> list[str]:
+    """The given verify flags that experiment `name` does not read.
+
+    An override flag applies when the fixture case has the field it sets
+    (``--n`` sets ``n`` or ``n_values``); only the size and power studies
+    run a process pool, and only the per-case experiments write a cell
+    table.
+    """
+    fields = set(case) | ({"n"} if "n_values" in case else set())
+    flags = [flag for flag, key in _OVERRIDES.items()
+             if getattr(args, flag) is not None and key not in fields]
+    if args.n_jobs != 1 and name not in ("size", "power"):
+        flags.append("n_jobs")
+    if args.emit_table is not None and name not in _PER_CASE:
+        flags.append("emit_table")
+    return flags
+
+
+def cmd_verify(args) -> int:
+    name = args.experiment
+    if name not in _EXPERIMENTS:
+        raise ValidationError(
+            f"unknown experiment {name!r}; choose from "
+            f"{', '.join(_EXPERIMENTS)}")
+    fixture = fixtures.load_experiment_defaults()[name]
+    cases = fixture.get("cases", [fixture]) if name in _PER_CASE else [fixture]
+    table = args.emit_table if name in _PER_CASE else None
+    tables = [table] * len(cases)
+    if table and len(cases) > 1:
+        root, ext = os.path.splitext(table)
+        tables = [f"{root}_{case['model']}{ext or '.csv'}" for case in cases]
+    check_targets([("--out", args.out)] + [("--emit-table", t) for t in tables])
+    for flag in _ignored_flags(name, args, cases[0]):
+        print(f"warning: --{flag.replace('_', '-')} does not apply to "
+              f"experiment {name!r}; ignored", file=sys.stderr)
+    overrides = {key: getattr(args, flag) for flag, key in _OVERRIDES.items()
+                 if getattr(args, flag) is not None}
+    if args.n is not None:
+        overrides["n_values"] = [args.n]
+
+    reports, lines, oks = zip(*[_EXPERIMENTS[name]({**case, **overrides}, args, t)
+                                for case, t in zip(cases, tables)])
+    passed = all(oks)
+
+    for case_lines in lines:
+        for line in case_lines:
+            print(line)
+    if args.out:
+        payload = reports[0] if len(reports) == 1 else {"experiment": name,
+                                                        "cases": list(reports)}
+        with open(args.out, "w") as fh:
+            fh.write(canonical_json(payload))
+    print(f"experiment {name!r}: {_pass(passed)}")
+    return EXIT_OK if passed else EXIT_TOLERANCE

@@ -5,6 +5,7 @@ import csv
 import functools
 import json
 import operator
+import os
 import subprocess
 import sys
 
@@ -269,6 +270,24 @@ class TestTestExitCodes:
         assert "Traceback" not in err
         assert sorted(tmp_path.rglob("*")) == before
 
+    def test_bridge_file_that_is_a_directory_is_input_error(
+            self, tmp_path, monkeypatch, capsys):
+        # An existing --emit-bridges DIR is looked into before the report
+        # is written.
+        run_simulate(tmp_path, n=50)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bdir" / "bridge_x1.csv").mkdir(parents=True)
+        before = sorted(tmp_path.rglob("*"))
+        rc = main(["test", "--input", "data.csv", "--response", "y",
+                   "--order-columns", "x1", "--intercept", "const",
+                   "--out", "r.json", "--emit-bridges", "bdir"])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_INPUT
+        assert out == ""
+        bridge = os.path.join("bdir", "bridge_x1.csv")
+        assert err == f"error: --emit-bridges: {bridge!r} is a directory\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_too_few_replicates_is_input_error(self, tmp_path):
         data_path = run_simulate(tmp_path, n=40)
         rc = main(["test", "--input", str(data_path), "--response", "y",
@@ -427,6 +446,18 @@ class TestSimulateCommand:
         assert err == "error: noise scale map must be positive and finite\n"
         assert not bad.exists() and good.exists()
 
+    @pytest.mark.parametrize("target", ["nodir/x.csv", "."])
+    def test_unwritable_out_is_input_error(self, tmp_path, monkeypatch, capsys,
+                                           target):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["simulate", "--n", "50", "--out", target])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: --out: ") and target in err
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_model_is_input_error(self, tmp_path):
         rc = main(["simulate", "--model", "cubic", "--n", "10",
                    "--out", str(tmp_path / "x.csv")])
@@ -472,11 +503,11 @@ def _verify_by_library(name, overrides):
     stripped), the per-case lines, the overall pass flag, and the cell
     tables by file name.
     """
-    from regbridge import covmodel, dataset, fixtures, mclab
+    from regbridge import fixtures, mclab
     fixture = fixtures.load_experiment_defaults()[name]
     if name == "gram-identity":
         tol = fixture["tolerance"]
-        cells = [{"case": case, "max_abs_error": covmodel.verify_gram_identity(
+        cells = [{"case": case, "max_abs_error": mclab.verify_gram_identity(
             fixtures.get_gram_case(case), 0)} for case in fixture["cases"]]
         worst = max(c["max_abs_error"] for c in cells)
         lines = [f"gram-identity[{c['case']}]: max error "
@@ -490,8 +521,8 @@ def _verify_by_library(name, overrides):
         cfg = {**fixture, **overrides, "n_values": [overrides["n"]]}
         breach = None
         if name == "power":
-            breach = dataset.AddQuadratic(cfg["breach"]["coef"],
-                                          cfg["breach"]["column"])
+            breach = fixtures.AddQuadratic(cfg["breach"]["coef"],
+                                           cfg["breach"]["column"])
         study = mclab.size_power_study(
             fixtures.get_model(cfg["model"]), breach, cfg["n_values"],
             cfg["level"], cfg["replicates"], cfg["seed"],
@@ -629,6 +660,46 @@ class TestVerifyCommand:
         assert exc.value.code == 2
         assert "--inner-replicates" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, flags, flag, named", [
+        ("gram-identity", ["--out", "nodir/x.json"], "--out", "nodir/x.json"),
+        ("size", ["--out", "."], "--out", "'.'"),
+        ("bridges", ["--emit-table", "nodir/t.csv"], "--emit-table",
+         "nodir/t_single-uniform.csv"),
+        ("bridges", ["--emit-table", "t.csv"], "--emit-table",
+         "t_two-uniform.csv"),
+        ("sums", ["--emit-table", "t_two-uniform.csv"], "--emit-table",
+         "t_two-uniform.csv"),
+    ], ids=["out-without-directory", "out-onto-directory",
+            "derived-table-without-directory", "derived-table-onto-directory",
+            "table-onto-directory"])
+    def test_unwritable_target_is_input_error(self, name, flags, flag, named,
+                                              tmp_path, monkeypatch, capsys):
+        # Every output path, the derived per-model tables included, is
+        # checked before any experiment runs.
+        from regbridge import mclab
+
+        def must_not_run(*args):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setitem(mclab._EXPERIMENTS, name, must_not_run)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t_two-uniform.csv").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        rc = main(["verify", "--experiment", name, *flags])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err.startswith(f"error: {flag}: ") and named in err
+        assert err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_experiment_help_names_every_experiment(self, capsys):
+        from regbridge import mclab
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        listed = "".join(", ".join(mclab._EXPERIMENTS).split())
+        assert listed in "".join(capsys.readouterr().out.split())
+
     def test_unknown_experiment_is_input_error(self, capsys):
         rc = main(["verify", "--experiment", "sideways"])
         assert rc == EXIT_INPUT
@@ -673,6 +744,16 @@ class TestVerifyCommand:
 # ======================================================================
 # entry point
 # ======================================================================
+
+# Public lab names that once lived in the pipeline modules `dataset` and
+# `covmodel`.
+LAB_NAMES = ("AffineQuantile", "IndependenceCopula", "GaussianCopula",
+             "exchangeable_correlation", "NoiseSpec", "SyntheticModel",
+             "AddQuadratic", "Heteroscedastic", "sample_h0",
+             "sample_alternative", "sample_concomitant",
+             "IndependenceCovariance", "analytic_covariance",
+             "verify_gram_identity")
+
 
 class TestEntryPoint:
     def test_subcommand_required(self):
@@ -756,6 +837,13 @@ class TestEntryPoint:
 
     def test_public_names_resolve(self):
         import regbridge
+        from regbridge import (adequacy, bridge, covmodel, dataset, errors,
+                               fixtures, limitsim, mclab, ols, ordering, rng)
+        pipeline = [name for module in (errors, rng, dataset, ols, ordering,
+                                        bridge, covmodel, limitsim, adequacy)
+                    for name in module.__all__]
+        assert regbridge.__all__ == pipeline
+        assert len(set(pipeline)) == len(pipeline) == 41
         listed = dir(regbridge)
         for name in regbridge.__all__:
             assert getattr(regbridge, name) is not None, name
@@ -763,8 +851,11 @@ class TestEntryPoint:
         star = {}
         exec("from regbridge import *", star)
         assert set(regbridge.__all__) <= star.keys()
-        assert star["size_power_study"].__module__ == "regbridge.mclab"
-        assert star["fixtures"].__name__ == "regbridge.fixtures"
+        assert not star.keys() & {*fixtures.__all__, *mclab.__all__}
+        lab = {*fixtures.__all__, *mclab.__all__, "cmd_simulate", "cmd_verify"}
+        for module in (dataset, covmodel, cli):
+            assert not vars(module).keys() & lab, module.__name__
+        assert regbridge.fixtures is fixtures and regbridge.mclab is mclab
 
     def test_unknown_attribute_raises(self):
         import regbridge
@@ -774,8 +865,24 @@ class TestEntryPoint:
     def test_lab_name_is_stored_on_first_access(self):
         # Later lookups, one per call in a lab loop, skip `__getattr__`.
         import regbridge
-        study = regbridge.size_power_study
-        assert vars(regbridge)["size_power_study"] is study
+        from regbridge import fixtures, mclab
+        for module in (fixtures, mclab):
+            for name in module.__all__:
+                value = getattr(regbridge, name)
+                assert value is getattr(module, name), name
+                assert vars(regbridge)[name] is value, name
+        assert set(LAB_NAMES) <= vars(regbridge).keys()
+
+    def test_private_name_raises_without_loading_lab(self):
+        code = ("import sys, regbridge\n"
+                "try:\n    regbridge._anything\n"
+                "except AttributeError:\n"
+                "    print(sorted(m for m in ('regbridge.mclab', "
+                "'regbridge.fixtures') if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_verify_runs_in_fresh_interpreter(self):
         # The lab imports inside `cmd_verify` must work from a cold start.

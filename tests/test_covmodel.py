@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import regbridge as rb
-from regbridge.covmodel import IndependenceCovariance
+from regbridge.fixtures import IndependenceCovariance
 from regbridge.errors import (SingularDesignError, UnsupportedModelError,
                               ValidationError)
 from regbridge.limitsim import GridSpec, build_grid_covariance
