@@ -80,9 +80,6 @@ class BridgeProcess:
     def nodes(self) -> np.ndarray:
         return np.arange(self.n + 1) / self.n
 
-    def __call__(self, t):
-        return evaluate(self, t)
-
 
 def residual_bridge(view: OrderedView, sigma2_hat: float) -> BridgeProcess:
     """The view's running residual sums, divided by sqrt(n * sigma2_hat).

@@ -319,20 +319,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--theta", default=None,
                        help="comma-separated coefficients, intercept last "
                             "(default: unit slopes, zero intercept)")
-    p_sim.add_argument("--copula", default="independence",
-                       help="independence or gaussian")
-    p_sim.add_argument("--rho", type=float, default=0.3,
-                       help="exchangeable correlation for --copula gaussian")
-    p_sim.add_argument("--quantile", default="identity",
-                       help="identity or affine margin transform")
-    p_sim.add_argument("--q-shift", type=float, default=0.0)
-    p_sim.add_argument("--q-scale", type=float, default=1.0)
+    p_sim.add_argument("--rho", type=float, default=None,
+                       help="draw the ordering regressors from an exchangeable "
+                            "Gaussian copula with this correlation "
+                            "(default: independent)")
+    p_sim.add_argument("--q-shift", type=float, default=0.0,
+                       help="shift a of every margin x = a + b * u (default 0)")
+    p_sim.add_argument("--q-scale", type=float, default=1.0,
+                       help="scale b of every margin x = a + b * u (default 1)")
     p_sim.add_argument("--noise", default="normal", help="normal or uniform")
     p_sim.add_argument("--noise-var", type=float, default=1.0)
-    p_sim.add_argument("--coef", type=float, default=1.0,
-                       help="breach strength for the alternative models")
-    p_sim.add_argument("--breach-column", type=int, default=0,
-                       help="0-based ordering column the breach acts on")
+    p_sim.add_argument("--coef", type=float, default=None,
+                       help="breach strength for the alternative models "
+                            "(default 1)")
+    p_sim.add_argument("--breach-column", type=int, default=None,
+                       help="0-based ordering column the breach acts on "
+                            "(default 0)")
     p_sim.set_defaults(func=_lab_command("cmd_simulate"))
 
     p_ver = sub.add_parser(

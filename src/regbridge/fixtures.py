@@ -91,18 +91,14 @@ class AffineQuantile:
 class IndependenceCopula:
     """Independent uniform coordinates."""
 
-    d: int
+    dim: int
 
     def __post_init__(self):
-        if self.d < 1:
+        if self.dim < 1:
             raise ValidationError("copula dimension must be >= 1")
 
-    @property
-    def dim(self) -> int:
-        return self.d
-
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.random((n, self.d))
+        return rng.random((n, self.dim))
 
 
 @dataclass(frozen=True, eq=False)

@@ -255,18 +255,25 @@ def _fmt(x: float) -> str:
 # Experiments
 # ======================================================================
 
-def _moment_report(experiment: str, vals: np.ndarray, labels, target,
-                   params: dict, tolerance: float, t0: float) -> VerificationReport:
-    """Compare the uncentered second moments of `vals` against their limits.
+def _moment_report(experiment: str, row, labels, target, n: int,
+                   replicates: int, seed, points: dict, tolerance: float,
+                   t0: float) -> VerificationReport:
+    """Compare the uncentered second moments of replicated probes to limits.
 
-    `vals` holds one replicate per row and one probe per column; the cell
-    for probes a <= b is labeled (labels[a], labels[b]) and its limit is
-    target(a, b).
+    Replicate r holds row(key) at the stream key (seed, r): one value per
+    probe.  The cell for probes a <= b is labeled (labels[a], labels[b])
+    and its limit is target(a, b).  `points` joins n, replicates and the
+    seed key in the report's params.
     """
-    emp = (vals.T @ vals) / vals.shape[0]
+    key = as_seed_key(seed)
+    vals = np.empty((replicates, len(labels)))
+    for r in range(replicates):
+        vals[r] = row(key + (r,))
+    emp = (vals.T @ vals) / replicates
     cells = tuple(ErrorCell(row=labels[a], col=labels[b],
                             empirical=float(emp[a, b]), target=float(target(a, b)))
                   for a in range(len(labels)) for b in range(a, len(labels)))
+    params = {"n": n, "replicates": replicates, "seed": list(key), **points}
     return VerificationReport(experiment=experiment, params=params, cells=cells,
                               tolerance=tolerance,
                               elapsed_seconds=time.perf_counter() - t0)
@@ -291,17 +298,13 @@ def verify_field_covariance(model: SyntheticModel, n: int, replicates: int,
 
     centers = np.array([_box_integral(model.cond_mean, u) for u in queries])
     mean_boxes = {tuple(u): c for u, c in zip(queries, centers)}
-
-    vals = np.empty((replicates, queries.shape[0]))
-    key = as_seed_key(seed)
-    for r in range(replicates):
-        X, Y = sample_concomitant(model, n, key + (r,))
-        vals[r] = empirical_field(X, Y, queries, centers)
     return _moment_report(
-        "field", vals, [f"u={_fmt_point(u)}" for u in queries],
+        "field",
+        lambda key: empirical_field(*sample_concomitant(model, n, key),
+                                    queries, centers),
+        [f"u={_fmt_point(u)}" for u in queries],
         lambda a, b: _field_cov_target(model, queries[a], queries[b], mean_boxes),
-        {"n": n, "replicates": replicates, "seed": list(key),
-         "queries": queries.tolist()}, tolerance, t0)
+        n, replicates, seed, {"queries": queries.tolist()}, tolerance, t0)
 
 
 def _fmt_point(u: np.ndarray) -> str:
@@ -322,21 +325,17 @@ def verify_sum_covariance(model: SyntheticModel, n: int, replicates: int,
     _require_independence(model, "coordinate sum process")
     _probe_zero_mean(model)
     levels = np.atleast_1d(check_levels(levels))
-    d = model.d1
-    nl = levels.shape[0]
 
-    vals = np.empty((replicates, d * nl))
-    key = as_seed_key(seed)
-    for r in range(replicates):
-        X, Y = sample_concomitant(model, n, key + (r,))
-        for k in range(d):
-            vals[r, k * nl:(k + 1) * nl] = concomitant_sum_process(X, Y, k, levels)
-    probes = [(k, float(t)) for k in range(d) for t in levels]
+    def row(key):
+        X, Y = sample_concomitant(model, n, key)
+        return np.concatenate([concomitant_sum_process(X, Y, k, levels)
+                               for k in range(model.d1)])
+
+    probes = [(k, float(t)) for k in range(model.d1) for t in levels]
     return _moment_report(
-        "sums", vals, [f"S{k + 1}({_fmt(t)})" for k, t in probes],
+        "sums", row, [f"S{k + 1}({_fmt(t)})" for k, t in probes],
         lambda a, b: _sum_process_cov_target(model, *probes[a], *probes[b]),
-        {"n": n, "replicates": replicates, "seed": list(key),
-         "levels": levels.tolist()}, tolerance, t0)
+        n, replicates, seed, {"levels": levels.tolist()}, tolerance, t0)
 
 
 def verify_bridge_covariance(model: SyntheticModel, n: int, replicates: int,
@@ -354,24 +353,19 @@ def verify_bridge_covariance(model: SyntheticModel, n: int, replicates: int,
         raise ValidationError("bridge experiment needs a regression model (theta)")
     cov = analytic_covariance(model)
     levels = np.atleast_1d(check_levels(levels))
-    d = model.d1
-    nl = levels.shape[0]
 
-    vals = np.empty((replicates, d * nl))
-    key = as_seed_key(seed)
-    for r in range(replicates):
-        data = sample_h0(model, n, key + (r,))
+    def row(key):
+        data = sample_h0(model, n, key)
         fit = fit_lse(data)
-        for k, view in enumerate(all_orderings(data, fit)):
-            b = residual_bridge(view, fit.sigma2_hat)
-            vals[r, k * nl:(k + 1) * nl] = evaluate(b, levels)
-    probes = [(k, float(t)) for k in range(d) for t in levels]
+        return np.concatenate([evaluate(residual_bridge(v, fit.sigma2_hat), levels)
+                               for v in all_orderings(data, fit)])
+
+    probes = [(k, float(t)) for k in range(model.d1) for t in levels]
     return _moment_report(
-        "bridges", vals, [f"Z{k + 1}({_fmt(t)})" for k, t in probes],
+        "bridges", row, [f"Z{k + 1}({_fmt(t)})" for k, t in probes],
         lambda a, b: cov.khat(probes[a][0], probes[b][0], probes[a][1],
                               probes[b][1]),
-        {"n": n, "replicates": replicates, "seed": list(key),
-         "levels": levels.tolist()}, tolerance, t0)
+        n, replicates, seed, {"levels": levels.tolist()}, tolerance, t0)
 
 
 def verify_gram_identity(model, j: int = 0) -> float:
@@ -504,21 +498,8 @@ def _build_model(args) -> SyntheticModel:
     d = args.order_dim
     if d < 1:
         raise ValidationError("--order-dim must be >= 1")
-    if args.copula == "independence":
-        copula = IndependenceCopula(d)
-    elif args.copula == "gaussian":
-        copula = GaussianCopula(exchangeable_correlation(d, args.rho))
-    else:
-        raise ValidationError(
-            f"unknown --copula {args.copula!r} (use independence or gaussian)")
-    if args.quantile == "identity":
-        qs = tuple(AffineQuantile() for _ in range(d))
-    elif args.quantile == "affine":
-        qs = tuple(AffineQuantile(shift=args.q_shift, scale=args.q_scale)
-                   for _ in range(d))
-    else:
-        raise ValidationError(
-            f"unknown --quantile {args.quantile!r} (use identity or affine)")
+    copula = (IndependenceCopula(d) if args.rho is None
+              else GaussianCopula(exchangeable_correlation(d, args.rho)))
     if args.theta is None:
         theta = tuple([1.0] * d + [0.0])
     else:
@@ -531,8 +512,9 @@ def _build_model(args) -> SyntheticModel:
     if args.noise not in ("normal", "uniform"):
         raise ValidationError(
             f"unknown --noise {args.noise!r} (use normal or uniform)")
-    return SyntheticModel(copula=copula, quantile_funcs=qs, theta=theta,
-                          noise=NoiseSpec(args.noise, args.noise_var))
+    return SyntheticModel(
+        copula=copula, theta=theta, noise=NoiseSpec(args.noise, args.noise_var),
+        quantile_funcs=(AffineQuantile(args.q_shift, args.q_scale),) * d)
 
 
 def cmd_simulate(args) -> int:
@@ -542,18 +524,24 @@ def cmd_simulate(args) -> int:
             f"--noise-var must be finite and >= 0, got {args.noise_var}")
     model = _build_model(args)
     breach = None
-    if args.model != "h0":
-        if args.model not in _BREACHES:
+    if args.model == "h0":
+        for flag in ("coef", "breach_column"):
+            if getattr(args, flag) is not None:
+                print(f"warning: --{flag.replace('_', '-')} does not apply to "
+                      "--model h0; ignored", file=sys.stderr)
+    elif args.model not in _BREACHES:
+        raise ValidationError(
+            f"unknown --model {args.model!r} "
+            "(use h0, add-quadratic, or heteroscedastic)")
+    else:
+        coef = 1.0 if args.coef is None else args.coef
+        column = args.breach_column or 0
+        if not 0 <= column < model.d1:
             raise ValidationError(
-                f"unknown --model {args.model!r} "
-                "(use h0, add-quadratic, or heteroscedastic)")
-        if not 0 <= args.breach_column < model.d1:
-            raise ValidationError(
-                f"--breach-column must lie in 0..{model.d1 - 1}, "
-                f"got {args.breach_column}")
-        if not math.isfinite(args.coef):
-            raise ValidationError(f"--coef must be finite, got {args.coef}")
-        breach = _BREACHES[args.model](args.coef, args.breach_column)
+                f"--breach-column must lie in 0..{model.d1 - 1}, got {column}")
+        if not math.isfinite(coef):
+            raise ValidationError(f"--coef must be finite, got {coef}")
+        breach = _BREACHES[args.model](coef, column)
     write_csv(sample_alternative(model, breach, args.n, args.seed), args.out)
     return EXIT_OK
 

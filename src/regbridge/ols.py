@@ -46,10 +46,6 @@ class FitResult:
     def n(self) -> int:
         return self.residuals.shape[0]
 
-    @property
-    def p(self) -> int:
-        return self.theta_hat.shape[0]
-
 
 def fit_lse(data: Dataset) -> FitResult:
     """Fit the linear model by least squares.

@@ -53,7 +53,7 @@ class TestBridgeProcess:
         b = rb.BridgeProcess(np.array([0.0, 1.0, 0.0]))
         assert b.n == 2
         assert np.allclose(b.nodes(), [0.0, 0.5, 1.0])
-        assert b(0.25) == pytest.approx(0.5)
+        assert rb.evaluate(b, 0.25) == pytest.approx(0.5)
 
     def test_must_start_at_zero(self):
         with pytest.raises(ValidationError):

@@ -13,6 +13,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import regbridge as rb
 from regbridge import cli
 from regbridge.cli import (EXIT_INPUT, EXIT_OK, EXIT_SINGULAR, EXIT_TOLERANCE,
                            canonical_json, check_schema, main)
@@ -288,6 +289,36 @@ class TestTestExitCodes:
         assert err == f"error: --emit-bridges: {bridge!r} is a directory\n"
         assert sorted(tmp_path.rglob("*")) == before
 
+    def test_ragged_row_is_input_error(self, tmp_path, capsys):
+        data_path = tmp_path / "ragged.csv"
+        write_rows(data_path, ["x1", "const", "y"],
+                   [(0.1, 1, 2.0), (0.2, 1, 3.0), (0.3, 1)])
+        rc, out = run_test(tmp_path, data_path)
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {data_path}: row 4 has 2 cells, expected 3\n")
+        assert not out.exists()
+
+    def test_empty_file_is_input_error(self, tmp_path, capsys):
+        data_path = tmp_path / "empty.csv"
+        data_path.write_bytes(b"")
+        rc, out = run_test(tmp_path, data_path)
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {data_path}: file is empty\n"
+        assert not out.exists()
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        data_path = run_simulate(tmp_path, n=40)
+        rc, out = run_test(tmp_path, data_path)
+        plain = out.read_bytes()
+        header, *rows = data_path.read_text().splitlines(keepends=True)
+        gappy = tmp_path / "gappy.csv"
+        gappy.write_text(header + "\n" + "".join(rows[:20]) + " , ,\t\n"
+                         + "".join(rows[20:]) + "\n")
+        rc, out = run_test(tmp_path, gappy)
+        assert rc == EXIT_OK
+        assert out.read_bytes() == plain
+
     def test_too_few_replicates_is_input_error(self, tmp_path):
         data_path = run_simulate(tmp_path, n=40)
         rc = main(["test", "--input", str(data_path), "--response", "y",
@@ -375,12 +406,6 @@ class TestSimulateCommand:
         assert rc == EXIT_OK
         assert path.exists()
 
-    def test_unknown_copula_is_input_error(self, tmp_path, capsys):
-        rc = main(["simulate", "--model", "h0", "--n", "10",
-                   "--copula", "clayton", "--out", str(tmp_path / "x.csv")])
-        assert rc == EXIT_INPUT
-        assert "copula" in capsys.readouterr().err
-
     @pytest.mark.parametrize("theta", ["a,b", "1,", ""])
     def test_non_numeric_theta_is_input_error(self, tmp_path, capsys, theta):
         path = tmp_path / "x.csv"
@@ -410,8 +435,8 @@ class TestSimulateCommand:
     def test_non_finite_affine_margin_is_input_error(self, tmp_path, capsys,
                                                      flag, value):
         path = tmp_path / "x.csv"
-        rc = main(["simulate", "--model", "h0", "--n", "10", "--quantile",
-                   "affine", flag, value, "--out", str(path)])
+        rc = main(["simulate", "--model", "h0", "--n", "10", flag, value,
+                   "--out", str(path)])
         err = capsys.readouterr().err
         assert rc == EXIT_INPUT
         assert err.startswith("error: affine quantile shift and scale")
@@ -458,6 +483,53 @@ class TestSimulateCommand:
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_rho_alone_draws_a_gaussian_copula(self, tmp_path):
+        path = run_simulate(tmp_path, n=2000, seed=5,
+                            extra=("--order-dim", "2", "--theta", "1,1,0",
+                                   "--rho", "0.9"))
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        x = np.array([[float(r["x1"]), float(r["x2"])] for r in rows])
+        assert np.corrcoef(x.T)[0, 1] > 0.5
+        model = rb.SyntheticModel(
+            copula=rb.GaussianCopula(rb.exchangeable_correlation(2, 0.9)),
+            theta=(1.0, 1.0, 0.0))
+        rb.write_csv(rb.sample_h0(model, 2000, 5), tmp_path / "lib.csv")
+        assert path.read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+    def test_margin_flags_alone_take_effect(self, tmp_path):
+        plain = run_simulate(tmp_path, name="plain.csv")
+        moved = run_simulate(tmp_path, name="moved.csv",
+                             extra=("--q-shift", "-1", "--q-scale", "2"))
+        with open(plain, newline="") as fh:
+            u = [float(r["x1"]) for r in csv.DictReader(fh)]
+        with open(moved, newline="") as fh:
+            x = [float(r["x1"]) for r in csv.DictReader(fh)]
+        assert min(x) < 0.0
+        assert x == [-1.0 + 2.0 * v for v in u]
+
+    def test_breach_flags_warn_under_h0(self, tmp_path, capsys):
+        plain = run_simulate(tmp_path, name="plain.csv")
+        capsys.readouterr()
+        flagged = run_simulate(tmp_path, name="flagged.csv",
+                               extra=("--coef", "7", "--breach-column", "3"))
+        assert capsys.readouterr().err == (
+            "warning: --coef does not apply to --model h0; ignored\n"
+            "warning: --breach-column does not apply to --model h0; ignored\n")
+        assert flagged.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("args, message", [
+        (("--order-dim", "0"), "--order-dim must be >= 1"),
+        (("--noise", "laplace"),
+         "unknown --noise 'laplace' (use normal or uniform)")])
+    def test_bad_design_flag_is_input_error(self, tmp_path, capsys, args,
+                                            message):
+        path = tmp_path / "x.csv"
+        rc = main(["simulate", "--n", "10", "--out", str(path), *args])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not path.exists()
+
     def test_unknown_model_is_input_error(self, tmp_path):
         rc = main(["simulate", "--model", "cubic", "--n", "10",
                    "--out", str(tmp_path / "x.csv")])
@@ -466,7 +538,7 @@ class TestSimulateCommand:
     def test_gaussian_copula_round_trip(self, tmp_path):
         path = tmp_path / "dep.csv"
         rc = main(["simulate", "--model", "h0", "--n", "90", "--seed", "6",
-                   "--order-dim", "2", "--copula", "gaussian", "--rho", "0.5",
+                   "--order-dim", "2", "--rho", "0.5",
                    "--out", str(path)])
         assert rc == EXIT_OK
         rc = main(["test", "--input", str(path), "--response", "y",
@@ -912,8 +984,6 @@ class TestEntryPoint:
 
 def staged_report(csv_path, schema, grid_m, replicates, seed):
     """`regbridge test` rebuilt from its layers, as the benchmark does."""
-    import regbridge as rb
-
     data = rb.load_csv(csv_path, schema)
     fit = rb.fit_lse(data)
     views = rb.all_orderings(data, fit)
