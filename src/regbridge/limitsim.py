@@ -427,7 +427,9 @@ def simulate_null(spectrum: NullSpectrum, replicates: int, grid: GridSpec,
     ordering slot).
     """
     if replicates < 100:
-        raise ValidationError("need at least 100 replicates for a usable tail")
+        raise ValidationError(
+            f"need at least 100 replicates, got {replicates}: they size only "
+            "the Monte Carlo null sample, since the p-value is exact")
     dim = spectrum.dim
     if dim % grid.m != 0:
         raise ValidationError(

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,16 +132,13 @@ class VerificationReport:
     """Outcome of one verification experiment.
 
     `max_abs_error` is the largest cell error; `passed` compares it to
-    `tolerance`.  `elapsed_seconds` is wall-clock time and is excluded
-    from reproducibility comparisons (see :meth:`comparable`).
+    `tolerance`.
     """
 
     experiment: str
     params: dict
     cells: tuple[ErrorCell, ...]
     tolerance: float
-    elapsed_seconds: float
-    checks: tuple[str, ...] = ()
 
     @property
     def max_abs_error(self) -> float:
@@ -153,19 +149,12 @@ class VerificationReport:
         return self.max_abs_error <= self.tolerance
 
     def to_json_dict(self) -> dict:
-        out = self.comparable()
-        out["elapsed_seconds"] = self.elapsed_seconds
-        return out
-
-    def comparable(self) -> dict:
-        """JSON-able content with wall-clock time stripped."""
         return {
             "experiment": self.experiment,
             "params": dict(self.params),
             "tolerance": self.tolerance,
             "max_abs_error": self.max_abs_error,
             "passed": self.passed,
-            "checks": list(self.checks),
             "cells": [
                 {"row": c.row, "col": c.col, "empirical": c.empirical,
                  "target": c.target, "abs_error": c.abs_error}
@@ -256,8 +245,8 @@ def _fmt(x: float) -> str:
 # ======================================================================
 
 def _moment_report(experiment: str, row, labels, target, n: int,
-                   replicates: int, seed, points: dict, tolerance: float,
-                   t0: float) -> VerificationReport:
+                   replicates: int, seed, points: dict,
+                   tolerance: float) -> VerificationReport:
     """Compare the uncentered second moments of replicated probes to limits.
 
     Replicate r holds row(key) at the stream key (seed, r): one value per
@@ -275,8 +264,7 @@ def _moment_report(experiment: str, row, labels, target, n: int,
                   for a in range(len(labels)) for b in range(a, len(labels)))
     params = {"n": n, "replicates": replicates, "seed": list(key), **points}
     return VerificationReport(experiment=experiment, params=params, cells=cells,
-                              tolerance=tolerance,
-                              elapsed_seconds=time.perf_counter() - t0)
+                              tolerance=tolerance)
 
 
 def verify_field_covariance(model: SyntheticModel, n: int, replicates: int,
@@ -288,7 +276,6 @@ def verify_field_covariance(model: SyntheticModel, n: int, replicates: int,
     field at every query, and the uncentered second-moment matrix over
     replicates is compared to the closed-form kernel.
     """
-    t0 = time.perf_counter()
     _require_conditional(model)
     _require_independence(model, "orthant field")
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
@@ -304,7 +291,7 @@ def verify_field_covariance(model: SyntheticModel, n: int, replicates: int,
                                     queries, centers),
         [f"u={_fmt_point(u)}" for u in queries],
         lambda a, b: _field_cov_target(model, queries[a], queries[b], mean_boxes),
-        n, replicates, seed, {"queries": queries.tolist()}, tolerance, t0)
+        n, replicates, seed, {"queries": queries.tolist()}, tolerance)
 
 
 def _fmt_point(u: np.ndarray) -> str:
@@ -320,7 +307,6 @@ def verify_sum_covariance(model: SyntheticModel, n: int, replicates: int,
     cumulative sums is compared to the integral of cond_var over the
     corresponding box.
     """
-    t0 = time.perf_counter()
     _require_conditional(model)
     _require_independence(model, "coordinate sum process")
     _probe_zero_mean(model)
@@ -335,7 +321,7 @@ def verify_sum_covariance(model: SyntheticModel, n: int, replicates: int,
     return _moment_report(
         "sums", row, [f"S{k + 1}({_fmt(t)})" for k, t in probes],
         lambda a, b: _sum_process_cov_target(model, *probes[a], *probes[b]),
-        n, replicates, seed, {"levels": levels.tolist()}, tolerance, t0)
+        n, replicates, seed, {"levels": levels.tolist()}, tolerance)
 
 
 def verify_bridge_covariance(model: SyntheticModel, n: int, replicates: int,
@@ -348,7 +334,6 @@ def verify_bridge_covariance(model: SyntheticModel, n: int, replicates: int,
     second-moment matrix over replicates is compared to the closed-form
     kernel of the model.
     """
-    t0 = time.perf_counter()
     if model.theta is None:
         raise ValidationError("bridge experiment needs a regression model (theta)")
     cov = analytic_covariance(model)
@@ -365,7 +350,7 @@ def verify_bridge_covariance(model: SyntheticModel, n: int, replicates: int,
         "bridges", row, [f"Z{k + 1}({_fmt(t)})" for k, t in probes],
         lambda a, b: cov.khat(probes[a][0], probes[b][0], probes[a][1],
                               probes[b][1]),
-        n, replicates, seed, {"levels": levels.tolist()}, tolerance, t0)
+        n, replicates, seed, {"levels": levels.tolist()}, tolerance)
 
 
 def verify_gram_identity(model, j: int = 0) -> float:
@@ -410,13 +395,12 @@ class SizePowerResult:
     inner_replicates: int
     grid_m: int
     seed: tuple[int, ...]
-    elapsed_seconds: float
 
     @property
     def rates(self) -> tuple[float, ...]:
         return tuple(r / self.replicates for r in self.rejections)
 
-    def comparable(self) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             "experiment": self.mode,
             "params": {"n_values": list(self.n_values), "level": self.level,
@@ -426,11 +410,6 @@ class SizePowerResult:
             "rejections": list(self.rejections),
             "rates": list(self.rates),
         }
-
-    def to_json_dict(self) -> dict:
-        out = self.comparable()
-        out["elapsed_seconds"] = self.elapsed_seconds
-        return out
 
 
 def _study_case(args) -> float:
@@ -456,7 +435,6 @@ def size_power_study(model: SyntheticModel, breach, n_values, level: float,
     imported only when n_jobs > 1, so callers that stay in-process never
     load `concurrent.futures` or `multiprocessing`.
     """
-    t0 = time.perf_counter()
     if not 0.0 < level <= 1.0:
         raise ValidationError(f"level must lie in (0, 1], got {level}")
     if replicates < 1:
@@ -482,8 +460,7 @@ def size_power_study(model: SyntheticModel, breach, n_values, level: float,
         mode="size" if breach is None else "power",
         n_values=n_values, rejections=tuple(rejections), level=level,
         replicates=replicates, inner_replicates=inner_replicates,
-        grid_m=grid_m, seed=key,
-        elapsed_seconds=time.perf_counter() - t0)
+        grid_m=grid_m, seed=key)
 
 
 # ======================================================================

@@ -319,12 +319,18 @@ class TestTestExitCodes:
         assert rc == EXIT_OK
         assert out.read_bytes() == plain
 
-    def test_too_few_replicates_is_input_error(self, tmp_path):
+    def test_too_few_replicates_is_input_error(self, tmp_path, capsys):
+        # The bound matches the report schema's minimum of 100.
         data_path = run_simulate(tmp_path, n=40)
+        out = tmp_path / "r.json"
         rc = main(["test", "--input", str(data_path), "--response", "y",
                    "--order-columns", "x1", "--intercept", "const",
-                   "--replicates", "50"])
+                   "--replicates", "99", "--out", str(out)])
         assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: need at least 100 replicates, got 99: they size only the "
+            "Monte Carlo null sample, since the p-value is exact\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("level", ["0", "1.5", "nan"])
     def test_level_outside_unit_interval_is_input_error(self, tmp_path, capsys,
@@ -571,9 +577,8 @@ VERIFY_FLAGS = {"n": "--n", "replicates": "--replicates", "seed": "--seed",
 def _verify_by_library(name, overrides):
     """What `verify` should write and print, rebuilt from direct lab calls.
 
-    Returns the expected payloads (one per fixture case, wall clock
-    stripped), the per-case lines, the overall pass flag, and the cell
-    tables by file name.
+    Returns the expected payloads (one per fixture case), the per-case
+    lines, the overall pass flag, and the cell tables by file name.
     """
     from regbridge import fixtures, mclab
     fixture = fixtures.load_experiment_defaults()[name]
@@ -618,7 +623,7 @@ def _verify_by_library(name, overrides):
                 + f" nondecreasing {'PASS' if oks[0] else 'FAIL'}",
                 f"rate at n={study.n_values[-1]} is {rates[-1]:.4f} > "
                 f"{floor:g} {'PASS' if oks[1] else 'FAIL'}"]
-        payload = {**study.comparable(), "checks": checks, "passed": all(oks)}
+        payload = {**study.to_json_dict(), "checks": checks, "passed": all(oks)}
         return [payload], checks, all(oks), {}
     verify, points = {"field": (mclab.verify_field_covariance, "queries"),
                       "sums": (mclab.verify_sum_covariance, "levels"),
@@ -630,7 +635,7 @@ def _verify_by_library(name, overrides):
         rep = verify(fixtures.get_model(cfg["model"]), cfg["n"],
                      cfg["replicates"], np.asarray(cfg[points], dtype=float),
                      cfg["seed"], cfg["tolerance"])
-        payloads.append(rep.comparable())
+        payloads.append(rep.to_json_dict())
         lines.append(f"{name}[{cfg['model']}]: max |emp - target| = "
                      f"{rep.max_abs_error:.4f} (tolerance {rep.tolerance:g}) "
                      f"{'PASS' if rep.passed else 'FAIL'}")
@@ -795,7 +800,6 @@ class TestVerifyCommand:
             assert got["experiment"] == name
         assert len(got_cases) == len(payloads)
         for case, want in zip(got_cases, payloads):
-            case.pop("elapsed_seconds", None)
             assert case == want
         assert printed == lines + [
             f"experiment {name!r}: {'PASS' if passed else 'FAIL'}"]
@@ -811,6 +815,21 @@ class TestVerifyCommand:
                 for row in csv.DictReader(fh):
                     for key in ("empirical", "target", "abs_error"):
                         float(row[key])
+
+    @pytest.mark.parametrize("name", sorted(VERIFY_OVERRIDES))
+    def test_out_is_byte_identical_across_runs(self, name, tmp_path):
+        # The payload holds no wall-clock field, so equal flags give equal
+        # bytes; the second run also takes a process pool where the
+        # experiment has one.
+        argv = ["verify", "--experiment", name]
+        for key, value in VERIFY_OVERRIDES[name].items():
+            argv += [VERIFY_FLAGS[key], str(value)]
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        main(argv + ["--out", str(outs[0])])
+        main(argv + ["--n-jobs", "2", "--out", str(outs[1])])
+        first = outs[0].read_bytes()
+        assert outs[1].read_bytes() == first
+        assert b"elapsed_seconds" not in first
 
 
 # ======================================================================

@@ -198,29 +198,21 @@ class TestVerificationReport:
         cells = (ErrorCell("a", "a", 1.02, 1.0),
                  ErrorCell("a", "b", 0.4, 0.47))
         return VerificationReport(experiment="field", params={"n": 10},
-                                  cells=cells, tolerance=0.1,
-                                  elapsed_seconds=1.5)
+                                  cells=cells, tolerance=0.1)
 
     def test_error_summary(self):
         report = self.make_report()
         assert report.max_abs_error == pytest.approx(0.07)
         assert report.passed
         tight = VerificationReport(experiment="field", params={},
-                                   cells=report.cells, tolerance=0.05,
-                                   elapsed_seconds=0.0)
+                                   cells=report.cells, tolerance=0.05)
         assert not tight.passed
-
-    def test_comparable_strips_wall_clock(self):
-        report = self.make_report()
-        assert "elapsed_seconds" not in report.comparable()
-        assert report.to_json_dict()["elapsed_seconds"] == 1.5
-        json.dumps(report.to_json_dict())
 
     def test_repeat_runs_are_identical(self):
         kwargs = dict(n=60, replicates=120, queries=[[0.5, 0.5]], seed=108)
         a = rb.verify_field_covariance(rb.fixtures.field_model(), **kwargs)
         b = rb.verify_field_covariance(rb.fixtures.field_model(), **kwargs)
-        assert a.comparable() == b.comparable()
+        assert a.to_json_dict() == b.to_json_dict()
 
     def test_cells_csv(self, tmp_path):
         report = self.make_report()
@@ -261,8 +253,8 @@ class TestSizePowerStudy:
         serial = rb.size_power_study(model, None, **kwargs)
         again = rb.size_power_study(model, None, **kwargs)
         pooled = rb.size_power_study(model, None, n_jobs=2, **kwargs)
-        assert serial.comparable() == again.comparable()
-        assert serial.comparable() == pooled.comparable()
+        assert serial.to_json_dict() == again.to_json_dict()
+        assert serial.to_json_dict() == pooled.to_json_dict()
         json.dumps(serial.to_json_dict())
 
     def test_breach_switches_mode(self):
