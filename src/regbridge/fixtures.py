@@ -1,7 +1,8 @@
 """Shipped synthetic models and experiment defaults for the verification lab.
 
-A synthetic model draws latent coordinates from a copula on the unit cube,
-maps each coordinate through an affine margin q(u) = shift + scale * u
+A synthetic model draws latent coordinates from a copula on the unit cube
+(independent, or exchangeable Gaussian with one correlation rho), maps
+every coordinate through one affine margin q(u) = shift + scale * u
 (:class:`AffineQuantile`) to obtain the ordering regressors, appends an
 intercept, and builds the response either from a linear predictor plus
 centered noise (regression mode, where a breach record, :class:`AddQuadratic`
@@ -28,14 +29,14 @@ from typing import Callable
 import numpy as np
 
 from .covmodel import CovarianceModel
-from .dataset import Dataset, _readonly
+from .dataset import Dataset
 from .errors import UnsupportedModelError, ValidationError
 from .rng import as_seed_key, philox_stream
 
 __all__ = [
-    "AffineQuantile", "IndependenceCopula", "GaussianCopula",
-    "exchangeable_correlation", "NoiseSpec", "SyntheticModel", "AddQuadratic",
-    "Heteroscedastic", "sample_h0", "sample_alternative", "sample_concomitant",
+    "AffineQuantile", "IndependenceCopula", "GaussianCopula", "NoiseSpec",
+    "SyntheticModel", "AddQuadratic", "Heteroscedastic", "sample_h0",
+    "sample_alternative", "sample_concomitant",
     "IndependenceCovariance", "analytic_covariance",
     "zero_mean", "unit_variance", "centered_first_coordinate", "field_model",
     "zero_mean_field_model", "single_uniform_model", "two_uniform_model",
@@ -101,44 +102,32 @@ class IndependenceCopula:
         return rng.random((n, self.dim))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GaussianCopula:
-    """Gaussian copula: U = Phi(Z) with Z ~ N(0, correlation)."""
+    """Exchangeable Gaussian copula: U = Phi(Z) with Z ~ N(0, R), where R has
+    a unit diagonal and `rho` off it.  Near rho = -1/(dim - 1) the Cholesky
+    factor of R can fail from rounding; that is a ValidationError too."""
 
-    correlation: np.ndarray
+    dim: int
+    rho: float
 
     def __post_init__(self):
-        corr = np.asarray(self.correlation, dtype=float)
-        if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
-            raise ValidationError("correlation must be a square matrix")
-        if not np.allclose(corr, corr.T, atol=1e-12):
-            raise ValidationError("correlation matrix must be symmetric")
-        if not np.allclose(np.diag(corr), 1.0, atol=1e-12):
-            raise ValidationError("correlation matrix needs a unit diagonal")
-        corr = 0.5 * (corr + corr.T)
+        d, rho = self.dim, self.rho
+        if d < 1:
+            raise ValidationError("copula dimension must be >= 1")
+        if not -1.0 / max(d - 1, 1) < rho < 1.0:
+            raise ValidationError(f"exchangeable correlation {rho} is not valid for d={d}")
         try:
-            chol = np.linalg.cholesky(corr)
+            chol = np.linalg.cholesky(np.full((d, d), rho) + (1.0 - rho) * np.eye(d))
         except np.linalg.LinAlgError:
             raise ValidationError("correlation matrix must be positive definite")
-        object.__setattr__(self, "correlation", _readonly(corr))
         object.__setattr__(self, "_chol", chol)
-
-    @property
-    def dim(self) -> int:
-        return self.correlation.shape[0]
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         from scipy.special import ndtr
 
         z = rng.standard_normal((n, self.dim)) @ self._chol.T
         return ndtr(z)
-
-
-def exchangeable_correlation(d: int, rho: float) -> np.ndarray:
-    """Correlation matrix with a common off-diagonal value."""
-    if not -1.0 / max(d - 1, 1) < rho < 1.0:
-        raise ValidationError(f"exchangeable correlation {rho} is not valid for d={d}")
-    return np.full((d, d), rho) + (1.0 - rho) * np.eye(d)
 
 
 # ======================================================================
@@ -181,6 +170,7 @@ class NoiseSpec:
 class SyntheticModel:
     """Generative model for Monte Carlo runs.
 
+    Every ordering regressor is `margin` applied to its latent coordinate.
     Regression mode needs `theta` (one coefficient per ordering regressor
     plus a trailing intercept coefficient).  Concomitant mode instead needs
     `cond_mean` and `cond_var`, callables on the (n, d1) latent block that
@@ -188,21 +178,15 @@ class SyntheticModel:
     """
 
     copula: IndependenceCopula | GaussianCopula
-    quantile_funcs: tuple[AffineQuantile, ...] = ()
+    margin: AffineQuantile = AffineQuantile()
     theta: tuple[float, ...] | None = None
     noise: NoiseSpec = NoiseSpec()
     cond_mean: Callable | None = None
     cond_var: Callable | None = None
 
     def __post_init__(self):
-        qs = tuple(self.quantile_funcs) or tuple(
-            AffineQuantile() for _ in range(self.copula.dim))
-        if len(qs) != self.copula.dim:
-            raise ValidationError(
-                f"{len(qs)} margins given for copula dimension {self.copula.dim}")
-        if not all(isinstance(q, AffineQuantile) for q in qs):
-            raise ValidationError("every margin must be an AffineQuantile")
-        object.__setattr__(self, "quantile_funcs", qs)
+        if not isinstance(self.margin, AffineQuantile):
+            raise ValidationError("the margin must be an AffineQuantile")
         if self.theta is not None:
             th = tuple(float(v) for v in self.theta)
             if len(th) != self.d1 + 1:
@@ -261,13 +245,13 @@ def sample_alternative(model: SyntheticModel, breach, n: int, seed) -> Dataset:
         raise ValidationError("n >= 1 required")
     rng = philox_stream(*as_seed_key(seed))
     U = model.copula.sample(n, rng)
-    cols = [q(U[:, j]) for j, q in enumerate(model.quantile_funcs)]
-    for j, c in enumerate(cols):
+    cols = model.margin(U)
+    for j, c in enumerate(cols.T):
         if np.any(np.diff(np.sort(c)) == 0):
             raise ValidationError(
                 f"ordering column {j} has ties; its margin is not strictly "
                 "increasing on the sampled range")
-    X = np.column_stack(cols + [np.ones(n)])
+    X = np.column_stack([cols, np.ones(n)])
     eps = model.noise.sample(rng, n)
     response = X @ np.asarray(model.theta)
     if isinstance(breach, AddQuadratic):
@@ -309,54 +293,52 @@ def sample_concomitant(model: SyntheticModel, n: int, seed) -> tuple[np.ndarray,
 # ======================================================================
 
 class IndependenceCovariance(CovarianceModel):
-    """Closed-form kernel for independent uniform coordinates mapped
-    through the affine margins `quantiles`, plus a trailing intercept.
+    """Closed-form kernel for `d` independent uniform coordinates, each
+    mapped through the affine `margin`, plus a trailing intercept.
 
     Slot j orders by coordinate j, so C is s*t between slots and min(s, t)
-    within one.  With no margins this is the intercept-only design
-    ordered by one latent coordinate: L(t) = (t) and G = (1), and the
-    kernel is the pinned-bridge covariance min(s, t) - s*t.  `h`, `b2`
-    and `gram` are the conditional moments and the second-moment matrix
-    that `verify_gram_identity` checks against each other.
+    within one.  With d = 0 this is the intercept-only design ordered by
+    one latent coordinate: L(t) = (t) and G = (1), and the kernel is the
+    pinned-bridge covariance min(s, t) - s*t.  `h`, `b2` and `gram` are
+    the conditional moments and the second-moment matrix that
+    `verify_gram_identity` checks against each other.
     """
 
-    def __init__(self, quantiles: tuple[AffineQuantile, ...] = ()):
-        self.quantiles = tuple(quantiles)
-        self.p = len(self.quantiles) + 1
-        self.means = np.array([q.mean() for q in self.quantiles])
-        self.second_moments = np.array([q.second_moment() for q in self.quantiles])
-        super().__init__(range(max(len(self.quantiles), 1)), self.gram())
+    def __init__(self, margin: AffineQuantile, d: int):
+        self.margin = margin
+        self.d = d
+        self.p = d + 1
+        # mean of the regressor vector: the margin's mean, then the intercept
+        self.means = np.append(np.full(d, margin.mean()), 1.0)
+        super().__init__(range(max(d, 1)), self.gram())
 
     def h(self, j: int, x: float) -> np.ndarray:
         """Conditional mean of the regressor vector given coordinate j = x."""
         self._check_slot(j)
-        out = np.empty(self.p)
-        for a, q in enumerate(self.quantiles):
-            out[a] = float(q(x)) if a == j else self.means[a]
-        out[-1] = 1.0
+        out = self.means.copy()
+        if self.d:
+            out[j] = float(self.margin(x))
         return out
 
     def b2(self, j: int, x: float) -> np.ndarray:
         """Conditional covariance of the regressor vector given coordinate j = x."""
         self._check_slot(j)
-        diag = np.append(self.second_moments - self.means ** 2, 0.0)
-        if self.quantiles:
+        diag = np.diag(self.gram()) - self.means ** 2
+        if self.d:
             diag[j] = 0.0
         return np.diag(diag)
 
     def gram(self) -> np.ndarray:
         """Second-moment matrix of the regressor vector."""
-        G = np.outer(np.append(self.means, 1.0), np.append(self.means, 1.0))
-        for a, m2 in enumerate(self.second_moments):
-            G[a, a] = m2
+        G = np.outer(self.means, self.means)
+        np.fill_diagonal(G[:-1, :-1], self.margin.second_moment())
         return G
 
     def curve(self, slot: int, t: np.ndarray) -> np.ndarray:
         """Integral of h(slot, .) from 0 to each t, shape (len(t), p)."""
-        out = np.empty((t.shape[0], self.p))
-        for a, q in enumerate(self.quantiles):
-            out[:, a] = q.partial_integral(t) if a == slot else self.means[a] * t
-        out[:, -1] = t
+        out = np.outer(t, self.means)
+        if self.d:
+            out[:, slot] = self.margin.partial_integral(t)
         return out
 
     def cdf_grid(self, i: int, j: int, svals, tvals) -> np.ndarray:
@@ -370,7 +352,7 @@ def analytic_covariance(model: SyntheticModel) -> IndependenceCovariance:
     if not isinstance(model.copula, IndependenceCopula):
         raise UnsupportedModelError(
             "closed-form kernel ingredients exist only for the independence copula")
-    return IndependenceCovariance(model.quantile_funcs)
+    return IndependenceCovariance(model.margin, model.d1)
 
 
 # ======================================================================
@@ -415,7 +397,6 @@ def zero_mean_field_model(d: int = 2) -> SyntheticModel:
 def single_uniform_model() -> SyntheticModel:
     """One uniform regressor plus intercept: y = 2 x + 1 + eps."""
     return SyntheticModel(copula=IndependenceCopula(1),
-                          quantile_funcs=(AffineQuantile(),),
                           theta=(2.0, 1.0),
                           noise=NoiseSpec("normal", 1.0))
 
@@ -423,7 +404,6 @@ def single_uniform_model() -> SyntheticModel:
 def two_uniform_model() -> SyntheticModel:
     """Two independent uniform regressors plus intercept."""
     return SyntheticModel(copula=IndependenceCopula(2),
-                          quantile_funcs=(AffineQuantile(), AffineQuantile()),
                           theta=(1.0, -1.0, 0.5),
                           noise=NoiseSpec("normal", 1.0))
 
@@ -431,7 +411,7 @@ def two_uniform_model() -> SyntheticModel:
 def affine_model() -> SyntheticModel:
     """One affine-transformed uniform regressor on [-1, 1] plus intercept."""
     return SyntheticModel(copula=IndependenceCopula(1),
-                          quantile_funcs=(AffineQuantile(shift=-1.0, scale=2.0),),
+                          margin=AffineQuantile(shift=-1.0, scale=2.0),
                           theta=(1.5, 0.5),
                           noise=NoiseSpec("normal", 1.0))
 
@@ -445,7 +425,7 @@ def pinned_bridge_covariance() -> IndependenceCovariance:
     check the null law and its sampler against known mean and quantile
     values.
     """
-    return IndependenceCovariance(())
+    return IndependenceCovariance(AffineQuantile(), 0)
 
 
 MODELS = {

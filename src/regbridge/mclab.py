@@ -40,8 +40,8 @@ from .errors import UnsupportedModelError, ValidationError
 from .fixtures import (AddQuadratic, AffineQuantile, GaussianCopula,
                        Heteroscedastic, IndependenceCopula,
                        IndependenceCovariance, NoiseSpec, SyntheticModel,
-                       analytic_covariance, exchangeable_correlation,
-                       sample_alternative, sample_concomitant, sample_h0)
+                       analytic_covariance, sample_alternative,
+                       sample_concomitant, sample_h0)
 from .ols import fit_lse
 from .ordering import all_orderings
 from .rng import as_seed_key
@@ -353,12 +353,12 @@ def verify_bridge_covariance(model: SyntheticModel, n: int, replicates: int,
         n, replicates, seed, {"levels": levels.tolist()}, tolerance)
 
 
-def verify_gram_identity(model, j: int = 0) -> float:
+def verify_gram_identity(model) -> float:
     """Max entrywise error of integral(b2 + h'h) dx against the Gram matrix.
 
     Accepts a :class:`SyntheticModel` with independent latent coordinates
     or an :class:`IndependenceCovariance` directly.  The integral runs
-    over the conditioning coordinate j.
+    over coordinate 0, which stands for all of them under one margin.
     """
     if isinstance(model, SyntheticModel):
         model = analytic_covariance(model)
@@ -371,8 +371,8 @@ def verify_gram_identity(model, j: int = 0) -> float:
     for a in range(model.p):
         for b in range(a, model.p):
             def entry(x, a=a, b=b):
-                h = model.h(j, x)
-                return model.b2(j, x)[a, b] + h[a] * h[b]
+                h = model.h(0, x)
+                return model.b2(0, x)[a, b] + h[a] * h[b]
 
             val = quad(entry, 0.0, 1.0, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)[0]
             err = max(err, float(abs(val - G[a, b])))
@@ -476,7 +476,7 @@ def _build_model(args) -> SyntheticModel:
     if d < 1:
         raise ValidationError("--order-dim must be >= 1")
     copula = (IndependenceCopula(d) if args.rho is None
-              else GaussianCopula(exchangeable_correlation(d, args.rho)))
+              else GaussianCopula(d, args.rho))
     if args.theta is None:
         theta = tuple([1.0] * d + [0.0])
     else:
@@ -491,7 +491,7 @@ def _build_model(args) -> SyntheticModel:
             f"unknown --noise {args.noise!r} (use normal or uniform)")
     return SyntheticModel(
         copula=copula, theta=theta, noise=NoiseSpec(args.noise, args.noise_var),
-        quantile_funcs=(AffineQuantile(args.q_shift, args.q_scale),) * d)
+        margin=AffineQuantile(args.q_shift, args.q_scale))
 
 
 def cmd_simulate(args) -> int:
@@ -599,7 +599,7 @@ def _run_power(cfg: dict, args, table):
 def _run_gram_identity(cfg: dict, args, table):
     tol = cfg["tolerance"]
     cells = [{"case": case, "max_abs_error": verify_gram_identity(
-        fixtures.get_gram_case(case), 0)} for case in cfg["cases"]]
+        fixtures.get_gram_case(case))} for case in cfg["cases"]]
     lines = [f"gram-identity[{c['case']}]: max error {c['max_abs_error']:.2e} "
              f"{_pass(c['max_abs_error'] <= tol)}" for c in cells]
     worst = max(c["max_abs_error"] for c in cells)

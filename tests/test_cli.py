@@ -498,10 +498,35 @@ class TestSimulateCommand:
         x = np.array([[float(r["x1"]), float(r["x2"])] for r in rows])
         assert np.corrcoef(x.T)[0, 1] > 0.5
         model = rb.SyntheticModel(
-            copula=rb.GaussianCopula(rb.exchangeable_correlation(2, 0.9)),
+            copula=rb.GaussianCopula(2, 0.9),
             theta=(1.0, 1.0, 0.0))
         rb.write_csv(rb.sample_h0(model, 2000, 5), tmp_path / "lib.csv")
         assert path.read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+    def test_rho_and_margin_flags_match_the_library_model(self, tmp_path):
+        # The README's library spelling of `simulate --rho R --q-shift a
+        # --q-scale b`.
+        path = run_simulate(tmp_path, n=300, seed=2,
+                            extra=("--order-dim", "3", "--theta", "1,1,1,0",
+                                   "--rho", "0.5", "--q-shift", "-1",
+                                   "--q-scale", "2"))
+        model = rb.SyntheticModel(copula=rb.GaussianCopula(3, 0.5),
+                                  margin=rb.AffineQuantile(-1.0, 2.0),
+                                  theta=(1.0, 1.0, 1.0, 0.0))
+        rb.write_csv(rb.sample_h0(model, 300, 2), tmp_path / "lib.csv")
+        assert path.read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+    def test_rho_rounding_below_positive_definite_is_input_error(
+            self, tmp_path, capsys):
+        # At d=6 the first double above the bound -1/5 passes the range
+        # check, but the Cholesky factor of its matrix fails from rounding.
+        path = tmp_path / "x.csv"
+        rc = main(["simulate", "--n", "50", "--order-dim", "6",
+                   "--rho", "-0.19999999999999998", "--out", str(path)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_INPUT
+        assert err == "error: correlation matrix must be positive definite\n"
+        assert not path.exists()
 
     def test_margin_flags_alone_take_effect(self, tmp_path):
         plain = run_simulate(tmp_path, name="plain.csv")
@@ -585,7 +610,7 @@ def _verify_by_library(name, overrides):
     if name == "gram-identity":
         tol = fixture["tolerance"]
         cells = [{"case": case, "max_abs_error": mclab.verify_gram_identity(
-            fixtures.get_gram_case(case), 0)} for case in fixture["cases"]]
+            fixtures.get_gram_case(case))} for case in fixture["cases"]]
         worst = max(c["max_abs_error"] for c in cells)
         lines = [f"gram-identity[{c['case']}]: max error "
                  f"{c['max_abs_error']:.2e} "
@@ -839,7 +864,7 @@ class TestVerifyCommand:
 # Public lab names that once lived in the pipeline modules `dataset` and
 # `covmodel`.
 LAB_NAMES = ("AffineQuantile", "IndependenceCopula", "GaussianCopula",
-             "exchangeable_correlation", "NoiseSpec", "SyntheticModel",
+             "NoiseSpec", "SyntheticModel",
              "AddQuadratic", "Heteroscedastic", "sample_h0",
              "sample_alternative", "sample_concomitant",
              "IndependenceCovariance", "analytic_covariance",

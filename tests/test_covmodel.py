@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import regbridge as rb
-from regbridge.fixtures import IndependenceCovariance
 from regbridge.errors import (SingularDesignError, UnsupportedModelError,
                               ValidationError)
 from regbridge.limitsim import GridSpec, build_grid_covariance
@@ -98,20 +97,20 @@ class TestAnalyticLorentz:
     """The closed-form running-mean curve of independent coordinates."""
 
     def test_single_uniform_curve(self):
-        cov = IndependenceCovariance(rb.fixtures.single_uniform_model().quantile_funcs)
+        cov = rb.analytic_covariance(rb.fixtures.single_uniform_model())
         ts = np.array([0.0, 0.25, 0.5, 1.0])
         assert np.allclose(cov.curve(0, ts), np.column_stack([ts ** 2 / 2, ts]),
                            atol=1e-15)
 
     def test_affine_curve(self):
         # q(u) = 2u - 1, so the partial integral is t^2 - t.
-        cov = IndependenceCovariance(rb.fixtures.affine_model().quantile_funcs)
+        cov = rb.analytic_covariance(rb.fixtures.affine_model())
         ts = np.array([0.2, 0.5, 0.9])
         assert np.allclose(cov.curve(0, ts)[:, 0], ts ** 2 - ts, atol=1e-12)
         assert np.allclose(cov.curve(0, ts)[:, 1], ts, atol=1e-15)
 
     def test_unconditioned_slot_is_linear(self):
-        cov = IndependenceCovariance(rb.fixtures.two_uniform_model().quantile_funcs)
+        cov = rb.analytic_covariance(rb.fixtures.two_uniform_model())
         ts = np.array([0.3, 0.8])
         # Slot 0 integrates its mean 1/2; slot 1 carries the conditioning.
         assert np.allclose(cov.curve(1, ts)[:, 0], 0.5 * ts, atol=1e-15)
@@ -134,7 +133,7 @@ class TestIndependenceFixture:
     """Closed-form moments of `IndependenceCovariance`."""
 
     def test_two_uniform_moments(self):
-        cov = IndependenceCovariance(rb.fixtures.two_uniform_model().quantile_funcs)
+        cov = rb.analytic_covariance(rb.fixtures.two_uniform_model())
         assert np.allclose(cov.h(0, 0.7), [0.7, 0.5, 1.0], atol=1e-12)
         assert np.allclose(cov.b2(0, 0.7), np.diag([0.0, 1 / 12, 0.0]),
                            atol=1e-12)
@@ -145,7 +144,7 @@ class TestIndependenceFixture:
 
     def test_intercept_only_degenerates(self):
         cov = rb.fixtures.pinned_bridge_covariance()
-        assert cov.quantiles == () and cov.p == 1 and cov.columns == (0,)
+        assert cov.d == 0 and cov.p == 1 and cov.columns == (0,)
         assert np.allclose(cov.h(0, 0.3), [1.0])
         assert np.allclose(cov.b2(0, 0.3), [[0.0]])
         assert np.allclose(cov.gram(), [[1.0]])
@@ -153,7 +152,7 @@ class TestIndependenceFixture:
         assert cov.gram_inv.tobytes() == np.eye(1).tobytes()
 
     def test_slot_bounds(self):
-        cov = IndependenceCovariance(rb.fixtures.single_uniform_model().quantile_funcs)
+        cov = rb.analytic_covariance(rb.fixtures.single_uniform_model())
         with pytest.raises(ValidationError):
             cov.h(1, 0.5)
         with pytest.raises(ValidationError):
@@ -394,8 +393,7 @@ class TestAnalyticKhat:
 
     def test_gaussian_copula_unsupported(self):
         model = rb.SyntheticModel(
-            copula=rb.GaussianCopula(rb.exchangeable_correlation(2, 0.5)),
-            quantile_funcs=(rb.AffineQuantile(), rb.AffineQuantile()),
+            copula=rb.GaussianCopula(2, 0.5), margin=rb.AffineQuantile(),
             theta=(1.0, 1.0, 0.0), noise=rb.NoiseSpec("normal", 1.0))
         with pytest.raises(UnsupportedModelError):
             rb.analytic_covariance(model)
@@ -491,8 +489,7 @@ class TestGramIdentity:
         with pytest.raises(ValidationError):
             rb.verify_gram_identity(np.eye(2))
         model = rb.SyntheticModel(
-            copula=rb.GaussianCopula(rb.exchangeable_correlation(2, 0.3)),
-            quantile_funcs=(rb.AffineQuantile(), rb.AffineQuantile()),
+            copula=rb.GaussianCopula(2, 0.3), margin=rb.AffineQuantile(),
             theta=(1.0, 1.0, 0.0), noise=rb.NoiseSpec("normal", 1.0))
         with pytest.raises(UnsupportedModelError):
             rb.verify_gram_identity(model)

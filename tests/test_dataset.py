@@ -172,7 +172,7 @@ class TestQuantiles:
     def test_model_refuses_other_margins(self):
         with pytest.raises(ValidationError, match="AffineQuantile"):
             rb.SyntheticModel(copula=rb.IndependenceCopula(1),
-                              quantile_funcs=(np.sqrt,), theta=(1.0, 0.0))
+                              margin=np.sqrt, theta=(1.0, 0.0))
 
 
 class TestCopulas:
@@ -185,7 +185,7 @@ class TestCopulas:
         assert abs(corr) < 0.03
 
     def test_gaussian_copula_margins_and_dependence(self):
-        cop = rb.GaussianCopula(rb.exchangeable_correlation(2, 0.6))
+        cop = rb.GaussianCopula(2, 0.6)
         u = cop.sample(20000, rb.philox_stream(4))
         # uniform margins regardless of dependence
         for j in range(2):
@@ -194,12 +194,15 @@ class TestCopulas:
         assert np.corrcoef(u.T)[0, 1] > 0.4
 
     def test_gaussian_copula_validation(self):
-        with pytest.raises(ValidationError):
-            rb.GaussianCopula(np.array([[1.0, 0.2], [0.3, 1.0]]))
-        with pytest.raises(ValidationError):
-            rb.GaussianCopula(np.array([[2.0, 0.0], [0.0, 1.0]]))
-        with pytest.raises(ValidationError):
-            rb.GaussianCopula(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        for dim, rho in ((2, 1.0), (3, -0.5), (2, float("nan"))):
+            with pytest.raises(ValidationError, match="not valid"):
+                rb.GaussianCopula(dim, rho)
+        with pytest.raises(ValidationError, match="dimension"):
+            rb.GaussianCopula(0, 0.0)
+        # The first double above the bound -1/5 passes the range check, but
+        # the Cholesky factor of its matrix fails from rounding.
+        with pytest.raises(ValidationError, match="positive definite"):
+            rb.GaussianCopula(6, -0.19999999999999998)
 
 
 # ======================================================================
@@ -209,7 +212,7 @@ class TestCopulas:
 class TestSampleH0:
     def test_zero_noise_exact_linear(self):
         model = rb.SyntheticModel(copula=rb.IndependenceCopula(1),
-                                  quantile_funcs=(rb.AffineQuantile(),),
+                                  margin=rb.AffineQuantile(),
                                   theta=(2.0, 1.0),
                                   noise=rb.NoiseSpec("normal", 0.0))
         d = rb.sample_h0(model, 100, 5)
@@ -247,14 +250,13 @@ class TestSampleH0:
             rb.SyntheticModel(copula=rb.IndependenceCopula(2), theta=(1.0, 2.0))
 
     def test_tied_ordering_column_is_refused(self):
-        # A zero-scale margin maps every uniform to 0.5, so column 1 ties;
-        # column 0 stays continuous and must not be blamed.
+        # A zero-scale margin maps every uniform to 0.5, so every column
+        # ties; the first one is named.
         model = rb.SyntheticModel(
             copula=rb.IndependenceCopula(2),
-            quantile_funcs=(rb.AffineQuantile(),
-                            rb.AffineQuantile(shift=0.5, scale=0.0)),
+            margin=rb.AffineQuantile(shift=0.5, scale=0.0),
             theta=(1.0, 1.0, 0.0))
-        with pytest.raises(ValidationError, match="ordering column 1 has ties"):
+        with pytest.raises(ValidationError, match="ordering column 0 has ties"):
             rb.sample_h0(model, 50, 3)
 
 

@@ -101,7 +101,7 @@ class TestFieldExperiment:
 
     def test_rejects_dependent_copula(self):
         model = rb.SyntheticModel(
-            copula=rb.GaussianCopula(rb.exchangeable_correlation(2, 0.4)),
+            copula=rb.GaussianCopula(2, 0.4),
             noise=rb.NoiseSpec("normal", 1.0),
             cond_mean=rb.fixtures.zero_mean,
             cond_var=rb.fixtures.unit_variance)
