@@ -6,16 +6,16 @@ every coordinate through one affine margin q(u) = shift + scale * u
 (:class:`AffineQuantile`) to obtain the ordering regressors, appends an
 intercept, and builds the response either from a linear predictor plus
 centered noise (regression mode, where a breach record, :class:`AddQuadratic`
-or :class:`Heteroscedastic`, can break the linear model) or from a
-user-supplied conditional mean and variance (concomitant mode).
-:class:`IndependenceCovariance` is the closed-form limit kernel of the
-regression mode under the independence copula.
+or :class:`Heteroscedastic`, can break the linear model) or from the
+conditional mean field_slope * (u1 - 1/2), u1 the first latent
+coordinate, plus the noise (concomitant mode, whose conditional variance
+is the noise variance).  :class:`IndependenceCovariance` is the closed-form limit
+kernel of the regression mode under the independence copula.
 
-Conditional-moment maps live here as module-level functions so study
-replicates can cross process boundaries.  Experiment defaults (sample
-sizes, replicate counts, seeds, grids, tolerances) are pinned in
-``data/verify_fixtures.json``; the seeds were fixed after pilot runs so
-the shipped experiments are deterministic checks, not coin flips.
+Experiment defaults (sample sizes, replicate counts, seeds, grids,
+tolerances) are pinned in ``data/verify_fixtures.json``; the seeds were
+fixed after pilot runs so the shipped experiments are deterministic
+checks, not coin flips.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable
 
 import numpy as np
 
@@ -38,7 +37,7 @@ __all__ = [
     "SyntheticModel", "AddQuadratic", "Heteroscedastic", "sample_h0",
     "sample_alternative", "sample_concomitant",
     "IndependenceCovariance", "analytic_covariance",
-    "zero_mean", "unit_variance", "centered_first_coordinate", "field_model",
+    "field_model",
     "zero_mean_field_model", "single_uniform_model", "two_uniform_model",
     "affine_model", "pinned_bridge_covariance", "get_model", "get_gram_case",
     "load_experiment_defaults", "MODELS", "GRAM_CASES",
@@ -173,20 +172,22 @@ class SyntheticModel:
     Every ordering regressor is `margin` applied to its latent coordinate.
     Regression mode needs `theta` (one coefficient per ordering regressor
     plus a trailing intercept coefficient).  Concomitant mode instead needs
-    `cond_mean` and `cond_var`, callables on the (n, d1) latent block that
-    return per-row conditional means and variances of the response.
+    `field_slope` c: the response has conditional mean c * (u1 - 1/2) given
+    the latent block u and conditional variance `noise.variance`.
     """
 
     copula: IndependenceCopula | GaussianCopula
     margin: AffineQuantile = AffineQuantile()
     theta: tuple[float, ...] | None = None
     noise: NoiseSpec = NoiseSpec()
-    cond_mean: Callable | None = None
-    cond_var: Callable | None = None
+    field_slope: float | None = None
 
     def __post_init__(self):
         if not isinstance(self.margin, AffineQuantile):
             raise ValidationError("the margin must be an AffineQuantile")
+        if self.field_slope is not None and not math.isfinite(self.field_slope):
+            raise ValidationError(
+                f"field_slope must be finite, got {self.field_slope}")
         if self.theta is not None:
             th = tuple(float(v) for v in self.theta)
             if len(th) != self.d1 + 1:
@@ -269,23 +270,18 @@ def sample_alternative(model: SyntheticModel, breach, n: int, seed) -> Dataset:
 
 
 def sample_concomitant(model: SyntheticModel, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (X, Y) with X from the copula and Y from the conditional law.
+    """Draw (U, Y) with U from the copula and Y from the conditional law.
 
-    Returns the raw latent block (n, d1), untransformed, together with
-    Y = cond_mean(X) + sqrt(cond_var(X)) * unit noise.
+    Returns the raw latent block U (n, d1), untransformed, together with
+    Y = field_slope * (U[:, 0] - 1/2) + noise.
     """
-    if model.cond_mean is None or model.cond_var is None:
-        raise ValidationError("concomitant sampling needs cond_mean and cond_var")
+    if model.field_slope is None:
+        raise ValidationError("concomitant sampling needs model.field_slope")
     if n < 1:
         raise ValidationError("n >= 1 required")
     rng = philox_stream(*as_seed_key(seed))
-    X = model.copula.sample(n, rng)
-    m = np.broadcast_to(np.asarray(model.cond_mean(X), dtype=float), (n,))
-    s2 = np.broadcast_to(np.asarray(model.cond_var(X), dtype=float), (n,))
-    if np.any(s2 < 0) or not np.all(np.isfinite(s2)):
-        raise ValidationError("cond_var must be finite and >= 0")
-    Y = m + np.sqrt(s2) * model.noise.sample_unit(rng, n)
-    return X, Y
+    U = model.copula.sample(n, rng)
+    return U, model.field_slope * (U[:, 0] - 0.5) + model.noise.sample(rng, n)
 
 
 # ======================================================================
@@ -356,42 +352,19 @@ def analytic_covariance(model: SyntheticModel) -> IndependenceCovariance:
 
 
 # ======================================================================
-# Conditional-moment maps (module level: picklable)
-# ======================================================================
-
-def zero_mean(u: np.ndarray) -> np.ndarray:
-    """m(u) = 0."""
-    return np.zeros(np.asarray(u).shape[0])
-
-
-def unit_variance(u: np.ndarray) -> np.ndarray:
-    """sigma2(u) = 1."""
-    return np.ones(np.asarray(u).shape[0])
-
-
-def centered_first_coordinate(u: np.ndarray) -> np.ndarray:
-    """m(u) = u[0] - 1/2."""
-    return np.asarray(u)[:, 0] - 0.5
-
-
-# ======================================================================
 # Models
 # ======================================================================
 
 def field_model(d: int = 2) -> SyntheticModel:
     """Concomitant model with m(u) = u1 - 1/2 and unit conditional variance."""
     return SyntheticModel(copula=IndependenceCopula(d),
-                          noise=NoiseSpec("normal", 1.0),
-                          cond_mean=centered_first_coordinate,
-                          cond_var=unit_variance)
+                          noise=NoiseSpec("normal", 1.0), field_slope=1.0)
 
 
 def zero_mean_field_model(d: int = 2) -> SyntheticModel:
     """Concomitant model with m = 0 and unit conditional variance."""
     return SyntheticModel(copula=IndependenceCopula(d),
-                          noise=NoiseSpec("normal", 1.0),
-                          cond_mean=zero_mean,
-                          cond_var=unit_variance)
+                          noise=NoiseSpec("normal", 1.0), field_slope=0.0)
 
 
 def single_uniform_model() -> SyntheticModel:

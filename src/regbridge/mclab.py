@@ -3,22 +3,23 @@
 Three experiments compare empirical second moments of the partial-sum
 processes against closed-form covariance targets:
 
-* the raw multivariate field over lower-left orthants (general conditional
-  mean and variance),
+* the raw multivariate field over lower-left orthants, for a conditional
+  mean c * (u1 - 1/2) and a constant conditional variance,
 * the one-coordinate cumulative sum processes under a zero conditional
   mean (covariances across coordinates),
 * the studentized residual bridges of the fitted regression against the
   plugged-in limit kernel.
 
 The first two processes are built here (`empirical_field`,
-`concomitant_sum_process`); the test itself never uses them.
+`concomitant_sum_process`); the test itself never uses them.  Their
+targets are integrals of the conditional moments over boxes, in closed
+form, and all empirical moments are uncentered: each compared process
+has exact mean zero by construction.
 
 A fourth experiment measures rejection rates of the full test pipeline
-under the null and under model breaches.  All targets are integrals of the
-conditional moments over boxes, computed by adaptive quadrature, and all
-empirical moments are uncentered: each compared process has exact mean
-zero by construction.  A fifth checks the closed-form Gram identity of
-`fixtures.IndependenceCovariance` by quadrature.  `cmd_simulate` and
+under the null and under model breaches.  A fifth checks the closed-form
+Gram identity of `fixtures.IndependenceCovariance` by quadrature, the
+lab's only use of scipy's integrators.  `cmd_simulate` and
 `cmd_verify` are the CLI's ``simulate`` and ``verify`` commands.
 """
 
@@ -59,7 +60,6 @@ __all__ = [
     "size_power_study",
 ]
 
-_NQUAD_OPTS = {"epsabs": 1e-10, "epsrel": 1e-10}
 _QUAD_TOL = 1e-11
 
 
@@ -180,60 +180,20 @@ def _require_independence(model: SyntheticModel, what: str) -> None:
             f"{what} targets need the independence copula (unit density)")
 
 
-def _require_conditional(model: SyntheticModel) -> None:
-    if model.cond_mean is None or model.cond_var is None:
-        raise ValidationError("experiment needs cond_mean and cond_var")
+def _box_moments(model: SyntheticModel, upper) -> tuple[float, float]:
+    """Integrals of m and of sigma^2 + m^2 over the box [0, upper].
 
-
-def _box_integral(fn, upper: np.ndarray) -> float:
-    """Integral of fn over the box [0, u1] x ... x [0, ud]."""
-    if np.any(upper == 0.0):
-        return 0.0
-    from scipy.integrate import nquad
-
-    def integrand(*coords):
-        val = np.asarray(fn(np.array(coords)[None, :]), dtype=float)
-        return float(val.reshape(-1)[0])
-
-    return nquad(integrand, [(0.0, float(u)) for u in upper], opts=_NQUAD_OPTS)[0]
-
-
-def _field_cov_target(model: SyntheticModel, u1: np.ndarray, u2: np.ndarray,
-                      mean_boxes: dict) -> float:
-    """Limit covariance of the normalized field between orthants u1, u2."""
-    lower = np.minimum(u1, u2)
-    m = model.cond_mean
-    s2 = model.cond_var
-    i_var = _box_integral(s2, lower)
-    i_msq = _box_integral(lambda x: np.asarray(m(x)) ** 2, lower)
-    return i_var + i_msq - mean_boxes[tuple(u1)] * mean_boxes[tuple(u2)]
-
-
-def _sum_process_cov_target(model: SyntheticModel, k1: int, t1: float,
-                            k2: int, t2: float) -> float:
-    """Limit covariance of the coordinate sum processes (zero mean case).
-
-    The covariance is the integral of cond_var over the box whose k1 and
-    k2 edges stop at t1 and t2 (their minimum when k1 == k2) and whose
-    other edges run to 1.
+    Here m(u) = c * (u1 - 1/2) with c = field_slope and sigma^2 is the
+    noise variance.  Over [0, a] the first coordinate gives
+    int c (x - 1/2) dx = c a (a - 1) / 2 and
+    int (x - 1/2)^2 dx = ((a - 1/2)^3 + 1/8) / 3; each is multiplied by
+    the product of the other box edges.
     """
-    upper = np.ones(model.d1)
-    if k1 == k2:
-        upper[k1] = min(t1, t2)
-    else:
-        upper[k1] = t1
-        upper[k2] = t2
-    return _box_integral(model.cond_var, upper)
-
-
-def _probe_zero_mean(model: SyntheticModel) -> None:
-    grid = np.linspace(0.0, 1.0, 9)
-    mesh = np.stack(np.meshgrid(*[grid] * model.d1, indexing="ij"), axis=-1)
-    probe = mesh.reshape(-1, model.d1)
-    vals = np.broadcast_to(np.asarray(model.cond_mean(probe), dtype=float),
-                           (probe.shape[0],))
-    if float(np.max(np.abs(vals))) > 1e-12:
-        raise ValidationError("this experiment needs cond_mean identically 0")
+    c, a = model.field_slope, float(upper[0])
+    rest = float(np.prod(upper[1:]))
+    return (c * a * (a - 1.0) / 2.0 * rest,
+            model.noise.variance * a * rest
+            + c * c * ((a - 0.5) ** 3 + 0.125) / 3.0 * rest)
 
 
 def _fmt(x: float) -> str:
@@ -254,6 +214,8 @@ def _moment_report(experiment: str, row, labels, target, n: int,
     and its limit is target(a, b).  `points` joins n, replicates and the
     seed key in the report's params.
     """
+    if replicates < 1:
+        raise ValidationError("need at least one replicate")
     key = as_seed_key(seed)
     vals = np.empty((replicates, len(labels)))
     for r in range(replicates):
@@ -276,21 +238,22 @@ def verify_field_covariance(model: SyntheticModel, n: int, replicates: int,
     field at every query, and the uncentered second-moment matrix over
     replicates is compared to the closed-form kernel.
     """
-    _require_conditional(model)
+    if model.field_slope is None:
+        raise ValidationError("the field experiment needs model.field_slope")
     _require_independence(model, "orthant field")
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     if queries.shape[1] != model.d1:
         raise ValidationError("query dimension must match the model")
     check_levels(queries, "queries must lie in the unit cube")
 
-    centers = np.array([_box_integral(model.cond_mean, u) for u in queries])
-    mean_boxes = {tuple(u): c for u, c in zip(queries, centers)}
+    centers = np.array([_box_moments(model, u)[0] for u in queries])
     return _moment_report(
         "field",
         lambda key: empirical_field(*sample_concomitant(model, n, key),
                                     queries, centers),
         [f"u={_fmt_point(u)}" for u in queries],
-        lambda a, b: _field_cov_target(model, queries[a], queries[b], mean_boxes),
+        lambda a, b: (_box_moments(model, np.minimum(queries[a], queries[b]))[1]
+                      - centers[a] * centers[b]),
         n, replicates, seed, {"queries": queries.tolist()}, tolerance)
 
 
@@ -302,14 +265,17 @@ def verify_sum_covariance(model: SyntheticModel, n: int, replicates: int,
                       levels, seed, tolerance: float = 0.05) -> VerificationReport:
     """Compare the coordinate sum processes' covariances to their limit.
 
-    Requires cond_mean identically zero.  For every coordinate pair and
-    level pair the uncentered empirical covariance of the normalized
-    cumulative sums is compared to the integral of cond_var over the
-    corresponding box.
+    Requires field_slope 0, a zero conditional mean.  For every
+    coordinate pair and level pair the uncentered empirical covariance of
+    the normalized cumulative sums is compared to the noise variance times
+    the volume of the corresponding box: sigma^2 min(t1, t2) on one
+    coordinate, sigma^2 t1 t2 across two.
     """
-    _require_conditional(model)
+    if model.field_slope != 0.0:
+        raise ValidationError(
+            "the sums experiment needs field_slope 0 (a zero conditional mean), "
+            f"got {model.field_slope}")
     _require_independence(model, "coordinate sum process")
-    _probe_zero_mean(model)
     levels = np.atleast_1d(check_levels(levels))
 
     def row(key):
@@ -318,9 +284,13 @@ def verify_sum_covariance(model: SyntheticModel, n: int, replicates: int,
                                for k in range(model.d1)])
 
     probes = [(k, float(t)) for k in range(model.d1) for t in levels]
+
+    def target(a, b):
+        (k1, t1), (k2, t2) = probes[a], probes[b]
+        return model.noise.variance * (min(t1, t2) if k1 == k2 else t1 * t2)
+
     return _moment_report(
-        "sums", row, [f"S{k + 1}({_fmt(t)})" for k, t in probes],
-        lambda a, b: _sum_process_cov_target(model, *probes[a], *probes[b]),
+        "sums", row, [f"S{k + 1}({_fmt(t)})" for k, t in probes], target,
         n, replicates, seed, {"levels": levels.tolist()}, tolerance)
 
 
@@ -671,9 +641,9 @@ def cmd_verify(args) -> int:
         for line in case_lines:
             print(line)
     if args.out:
-        payload = reports[0] if len(reports) == 1 else {"experiment": name,
-                                                        "cases": list(reports)}
+        text = canonical_json(reports[0] if len(reports) == 1 else
+                              {"experiment": name, "cases": list(reports)})
         with open(args.out, "w") as fh:
-            fh.write(canonical_json(payload))
+            fh.write(text)
     print(f"experiment {name!r}: {_pass(passed)}")
     return EXIT_OK if passed else EXIT_TOLERANCE

@@ -795,6 +795,34 @@ class TestVerifyCommand:
         assert err.count("\n") == 1
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("name, replicates", [
+        ("sums", "0"), ("field", "0"), ("bridges", "-3")])
+    def test_replicates_below_one_is_input_error(self, name, replicates,
+                                                 tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["verify", "--experiment", name, "--replicates", replicates,
+                   "--out", "z.json"])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err == "error: need at least one replicate\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unrenderable_payload_leaves_no_out_file(self, tmp_path,
+                                                     monkeypatch):
+        # The payload is rendered before --out is opened, so a rendering
+        # bug leaves no empty file behind.
+        from regbridge import mclab
+
+        def refuse(payload):
+            raise ValueError("Out of range float values are not JSON compliant")
+
+        monkeypatch.setattr(mclab, "canonical_json", refuse)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            main(["verify", "--experiment", "gram-identity", "--out", "p.json"])
+        assert not (tmp_path / "p.json").exists()
+
     def test_experiment_help_names_every_experiment(self, capsys):
         from regbridge import mclab
         with pytest.raises(SystemExit):
@@ -1007,6 +1035,19 @@ class TestEntryPoint:
              "--experiment", "gram-identity"], capture_output=True, text=True)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert "experiment 'gram-identity': PASS" in proc.stdout
+
+    @pytest.mark.parametrize("name", ["field", "sums"])
+    def test_moment_experiments_skip_scipy(self, name):
+        # The field and sums targets are closed forms and their draws use
+        # the independence copula, so neither run loads scipy.
+        code = ("import sys; from regbridge.cli import main; "
+                f"rc = main(['verify', '--experiment', {name!r}]); "
+                "print(rc, sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} []"
 
     def test_test_run_never_imports_jsonschema(self, tmp_path):
         data_path = run_simulate(tmp_path, n=60)

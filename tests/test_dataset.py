@@ -346,15 +346,28 @@ class TestSampleConcomitant:
         assert abs(slope - 1.0) < 0.03
 
     def test_requires_conditional_maps(self):
-        with pytest.raises(ValidationError, match="cond_mean"):
+        with pytest.raises(ValidationError, match="field_slope"):
             rb.sample_concomitant(rb.fixtures.single_uniform_model(), 10, 0)
 
-    def test_negative_variance_rejected(self):
-        model = rb.SyntheticModel(copula=rb.IndependenceCopula(1),
-                                  cond_mean=rb.fixtures.zero_mean,
-                                  cond_var=lambda u: -np.ones(len(u)))
-        with pytest.raises(ValidationError):
-            rb.sample_concomitant(model, 10, 0)
+    @pytest.mark.parametrize("seed", [0, 8, 31])
+    @pytest.mark.parametrize("name", ["field", "zero-mean-field"])
+    def test_matches_the_conditional_moment_draw(self, name, seed):
+        # The draw written with a conditional mean map m and a unit
+        # conditional variance: m(U) + sqrt(1) * unit noise, bit for bit.
+        model = rb.fixtures.get_model(name)
+        n = 300
+        rng = rb.philox_stream(*rb.as_seed_key(seed))
+        U = model.copula.sample(n, rng)
+        m = U[:, 0] - 0.5 if name == "field" else np.zeros(n)
+        Y = m + np.sqrt(1.0) * model.noise.sample_unit(rng, n)
+        got_U, got_Y = rb.sample_concomitant(model, n, seed)
+        assert got_U.tobytes() == U.tobytes()
+        assert got_Y.tobytes() == Y.tobytes()
+
+    @pytest.mark.parametrize("slope", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_field_slope_is_refused(self, slope):
+        with pytest.raises(ValidationError, match="field_slope must be finite"):
+            rb.SyntheticModel(copula=rb.IndependenceCopula(2), field_slope=slope)
 
 
 class TestNoiseSpec:

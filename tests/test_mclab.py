@@ -5,8 +5,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import nquad
 
 import regbridge as rb
+from regbridge import mclab
 from regbridge.errors import UnsupportedModelError, ValidationError
 from regbridge.mclab import ErrorCell, VerificationReport
 
@@ -21,10 +24,6 @@ FIELD_TARGET_FULL_FULL = 1.0 + 1.0 / 12.0
 
 def cell_lookup(report):
     return {(c.row, c.col): c for c in report.cells}
-
-
-def zero_variance(u):
-    return np.zeros(np.asarray(u).shape[0])
 
 
 # ======================================================================
@@ -63,9 +62,7 @@ class TestFieldExperiment:
         # variance of the conditional mean alone: int m^2 - (int m)^2.
         model = rb.SyntheticModel(
             copula=rb.IndependenceCopula(2),
-            noise=rb.NoiseSpec("normal", 1.0),
-            cond_mean=rb.fixtures.centered_first_coordinate,
-            cond_var=zero_variance)
+            noise=rb.NoiseSpec("normal", 0.0), field_slope=1.0)
         report = rb.verify_field_covariance(model, n=400, replicates=1500,
                                             queries=[[1.0, 1.0]], seed=109,
                                             tolerance=0.02)
@@ -102,12 +99,55 @@ class TestFieldExperiment:
     def test_rejects_dependent_copula(self):
         model = rb.SyntheticModel(
             copula=rb.GaussianCopula(2, 0.4),
-            noise=rb.NoiseSpec("normal", 1.0),
-            cond_mean=rb.fixtures.zero_mean,
-            cond_var=rb.fixtures.unit_variance)
+            noise=rb.NoiseSpec("normal", 1.0), field_slope=0.0)
         with pytest.raises(UnsupportedModelError):
             rb.verify_field_covariance(model, n=50, replicates=100,
                                        queries=[[0.5, 0.5]], seed=0)
+
+
+# ======================================================================
+# Closed-form box moments and replicate counts
+# ======================================================================
+
+class TestBoxMoments:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @settings(max_examples=25, deadline=None)
+    @given(slope=st.floats(-3.0, 3.0), variance=st.floats(0.0, 4.0),
+           corner=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+    def test_matches_quadrature(self, d, slope, variance, corner):
+        # m(u) = slope * (u1 - 1/2) and sigma^2 + m^2, integrated over the
+        # box [0, corner] by scipy's nested adaptive quadrature.
+        model = rb.SyntheticModel(copula=rb.IndependenceCopula(d),
+                                  noise=rb.NoiseSpec("normal", variance),
+                                  field_slope=slope)
+        upper = np.array(corner[:d])
+        ranges = [(0.0, float(u)) for u in upper]
+
+        def mean(*x):
+            return slope * (x[0] - 0.5)
+
+        want_mean = nquad(mean, ranges)[0]
+        want_second = nquad(lambda *x: variance + mean(*x) ** 2, ranges)[0]
+        got_mean, got_second = mclab._box_moments(model, upper)
+        assert got_mean == pytest.approx(want_mean, abs=1e-9)
+        assert got_second == pytest.approx(want_second, abs=1e-9)
+
+
+@pytest.mark.parametrize("replicates", [0, -3])
+@pytest.mark.parametrize("verify, model, points", [
+    (rb.verify_field_covariance, rb.fixtures.field_model(), [[0.5, 0.5]]),
+    (rb.verify_sum_covariance, rb.fixtures.zero_mean_field_model(), [0.5]),
+    (rb.verify_bridge_covariance, rb.fixtures.single_uniform_model(), [0.5]),
+], ids=["field", "sums", "bridges"])
+def test_replicates_below_one_are_refused_before_sampling(
+        verify, model, points, replicates, monkeypatch):
+    def must_not_sample(*args):
+        raise AssertionError("a replicate was drawn")
+
+    monkeypatch.setattr(mclab, "sample_concomitant", must_not_sample)
+    monkeypatch.setattr(mclab, "sample_h0", must_not_sample)
+    with pytest.raises(ValidationError, match="need at least one replicate"):
+        verify(model, 50, replicates, points, seed=0)
 
 
 # ======================================================================
@@ -141,7 +181,7 @@ class TestSumsExperiment:
             cells[("S1(0.5)", "S2(1)")].empirical, rel=1e-12)
 
     def test_requires_zero_conditional_mean(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="field_slope 0"):
             rb.verify_sum_covariance(rb.fixtures.field_model(), n=50,
                                      replicates=100, levels=[0.5], seed=0)
 
