@@ -190,14 +190,28 @@ def _bridge_path(folder: str, column: str) -> str:
     return os.path.join(folder, f"bridge_{column}.csv")
 
 
-def check_targets(files, bridge_dir=None, columns=()) -> None:
-    """Refuse, before anything is written, a bad output target.
+def _file_key(path: str):
+    """One key per file: its device and inode, or, unmade, its real path."""
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return stat.st_dev, stat.st_ino
+
+
+def check_targets(files, bridge_dir=None, columns=(), source=None) -> None:
+    """Refuse, before anything is read or written, a bad output target.
 
     `files` holds (flag, path) pairs, a path of None unused: a file target
     that is a directory or has no directory is refused.  So is an
     --emit-bridges `bridge_dir` that cannot be made, or whose bridge file
-    for one of `columns` is a directory.
+    for one of `columns` is a directory.  No two targets, the bridge
+    directory and its bridge files included, may name one file (through a
+    symbolic or hard link too), and none may name `source`, the (flag,
+    path) pair of the input.
     """
+    files = [(flag, path) for flag, path in files if path]
+    claimed = [source] if source else []
     if bridge_dir:
         for name in columns:
             if os.sep in name or (os.altsep and os.altsep in name):
@@ -208,14 +222,22 @@ def check_targets(files, bridge_dir=None, columns=()) -> None:
             top = os.path.dirname(top)
         if not os.path.isdir(top):
             raise ValidationError(f"--emit-bridges: {top!r} is not a directory")
+        claimed.append(("--emit-bridges", bridge_dir))
         if os.path.isdir(bridge_dir):
             files = [("--emit-bridges", _bridge_path(bridge_dir, name))
-                     for name in columns] + list(files)
+                     for name in columns] + files
     for flag, path in files:
-        if path and os.path.isdir(path):
+        if os.path.isdir(path):
             raise ValidationError(f"{flag}: {path!r} is a directory")
-        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise ValidationError(f"{flag}: no directory holds {path!r}")
+    seen = {}
+    for flag, path in claimed + files:
+        key = _file_key(path)
+        if key in seen:
+            raise ValidationError(f"{seen[key][0]} {seen[key][1]!r} and "
+                                  f"{flag} {path!r} name one file")
+        seen[key] = flag, path
 
 
 def cmd_test(args) -> int:
@@ -227,7 +249,7 @@ def cmd_test(args) -> int:
     schema = ColumnSchema(order=_parse_columns(args.order_columns),
                           response=args.response, intercept=intercept)
     check_targets([("--out", args.out), ("--emit-null", args.emit_null)],
-                  args.emit_bridges, schema.order)
+                  args.emit_bridges, schema.order, ("--input", args.input))
     data = load_csv(args.input, schema)
     try:
         result = run_adequacy_test(data, grid_m=args.grid,

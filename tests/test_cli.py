@@ -40,6 +40,12 @@ def run_test(tmp_path, data_path, extra=()):
     return rc, out
 
 
+def tree_bytes(root):
+    """Every path under `root`, with a file's bytes (None for a directory)."""
+    return {path: path.read_bytes() if path.is_file() else None
+            for path in root.rglob("*")}
+
+
 def write_rows(path, header, rows):
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
@@ -289,6 +295,61 @@ class TestTestExitCodes:
         assert err == f"error: --emit-bridges: {bridge!r} is a directory\n"
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("flags, named", [
+        (("--out", "r.json", "--emit-null", "r.json"),
+         "--out 'r.json' and --emit-null 'r.json'"),
+        (("--out", "r.json", "--emit-null", "./r.json"),
+         "--out 'r.json' and --emit-null './r.json'"),
+        (("--emit-null", "bdir/bridge_x1.csv", "--emit-bridges", "bdir"),
+         "--emit-bridges 'bdir/bridge_x1.csv' and "
+         "--emit-null 'bdir/bridge_x1.csv'"),
+        (("--out", "new", "--emit-bridges", "new"),
+         "--emit-bridges 'new' and --out 'new'"),
+    ], ids=["out-and-null", "out-and-null-spelled-apart",
+            "null-onto-bridge-file", "out-onto-new-bridge-dir"])
+    def test_outputs_naming_one_file_are_input_error(self, tmp_path,
+                                                     monkeypatch, capsys,
+                                                     flags, named):
+        # Two outputs of one run may not name one file, or one would be
+        # lost; the run writes nothing.
+        run_simulate(tmp_path, n=50)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bdir").mkdir()
+        (tmp_path / "r.json").write_text("kept\n")
+        before = tree_bytes(tmp_path)
+        rc = main(["test", "--input", "data.csv", "--response", "y",
+                   "--order-columns", "x1", "--intercept", "const",
+                   "--replicates", "200", *flags])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err == f"error: {named} name one file\n"
+        assert tree_bytes(tmp_path) == before
+
+    @pytest.mark.parametrize("flags", [
+        ("--out", "demo.csv"),
+        ("--emit-null", "./demo.csv", "--replicates", "200"),
+        ("--out", "r.json", "--emit-bridges", "."),
+        ("--out", "link.csv"),
+    ], ids=["out", "emit-null", "bridge-file", "hard-link"])
+    def test_output_onto_input_is_input_error(self, tmp_path, monkeypatch,
+                                              capsys, flags):
+        # Checked before the input is read: the data keeps its bytes.
+        monkeypatch.chdir(tmp_path)
+        name = "bridge_x1.csv" if "--emit-bridges" in flags else "demo.csv"
+        run_simulate(tmp_path, name=name, n=50)
+        if "link.csv" in flags:
+            os.link(name, "link.csv")
+        before = tree_bytes(tmp_path)
+        rc = main(["test", "--input", name, "--response", "y",
+                   "--order-columns", "x1", "--intercept", "const", *flags])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err.startswith(f"error: --input {name!r} and ")
+        assert err.endswith(" name one file\n") and err.count("\n") == 1
+        assert tree_bytes(tmp_path) == before
+
     def test_ragged_row_is_input_error(self, tmp_path, capsys):
         data_path = tmp_path / "ragged.csv"
         write_rows(data_path, ["x1", "const", "y"],
@@ -406,11 +467,21 @@ class TestSimulateCommand:
                 2.0 * x * x, abs=1e-12)
 
     def test_heteroscedastic_model_runs(self, tmp_path):
+        # The README's heteroscedastic dataset, end to end: the bridges
+        # test the mean alone, so the variance trend is not rejected.
         path = tmp_path / "het.csv"
-        rc = main(["simulate", "--model", "heteroscedastic", "--coef", "3.0",
-                   "--n", "40", "--seed", "2", "--out", str(path)])
+        rc = main(["simulate", "--model", "heteroscedastic", "--coef", "3",
+                   "--n", "300", "--seed", "4", "--out", str(path)])
         assert rc == EXIT_OK
         assert path.exists()
+        out = tmp_path / "het.json"
+        rc = main(["test", "--input", str(path), "--response", "y",
+                   "--order-columns", "x1", "--intercept", "const",
+                   "--out", str(out)])
+        assert rc == EXIT_OK
+        p_value = json.loads(out.read_text())["p_value"]
+        assert 0 < p_value <= 1
+        assert round(p_value, 3) == 0.731
 
     @pytest.mark.parametrize("theta", ["a,b", "1,", ""])
     def test_non_numeric_theta_is_input_error(self, tmp_path, capsys, theta):
@@ -515,6 +586,15 @@ class TestSimulateCommand:
                                   theta=(1.0, 1.0, 1.0, 0.0))
         rb.write_csv(rb.sample_h0(model, 300, 2), tmp_path / "lib.csv")
         assert path.read_bytes() == (tmp_path / "lib.csv").read_bytes()
+        # The drawn data runs through `test` with all three orderings.
+        out = tmp_path / "d3.json"
+        rc = main(["test", "--input", str(path), "--response", "y",
+                   "--order-columns", "x1,x2,x3", "--intercept", "const",
+                   "--out", str(out)])
+        assert rc == EXIT_OK
+        report = json.loads(out.read_text())
+        assert [b["column"] for b in report["bridges"]] == ["x1", "x2", "x3"]
+        assert 0 < report["p_value"] <= 1
 
     def test_rho_rounding_below_positive_definite_is_input_error(
             self, tmp_path, capsys):
@@ -795,6 +875,32 @@ class TestVerifyCommand:
         assert err.count("\n") == 1
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("name, flags", [
+        ("bridges", ["--out", "t_two-uniform.csv", "--emit-table", "t.csv"]),
+        ("sums", ["--out", "t.csv", "--emit-table", "./t.csv"]),
+    ], ids=["out-onto-derived-table", "out-onto-table"])
+    def test_outputs_naming_one_file_are_input_error(self, name, flags,
+                                                     tmp_path, monkeypatch,
+                                                     capsys):
+        # The JSON payload would overwrite a cell table; refused before
+        # any experiment runs.
+        from regbridge import mclab
+
+        def must_not_run(*args):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setitem(mclab._EXPERIMENTS, name, must_not_run)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t_two-uniform.csv").write_text("kept\n")
+        before = tree_bytes(tmp_path)
+        rc = main(["verify", "--experiment", name, *flags])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err.startswith(f"error: --out {flags[1]!r} and --emit-table ")
+        assert err.endswith(" name one file\n") and err.count("\n") == 1
+        assert tree_bytes(tmp_path) == before
+
     @pytest.mark.parametrize("name, replicates", [
         ("sums", "0"), ("field", "0"), ("bridges", "-3")])
     def test_replicates_below_one_is_input_error(self, name, replicates,
@@ -1049,18 +1155,25 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} []"
 
-    def test_test_run_never_imports_jsonschema(self, tmp_path):
+    @pytest.mark.parametrize("command", ["test", "simulate", "verify"])
+    def test_test_run_never_imports_jsonschema(self, tmp_path, command):
+        # Each command runs where only the runtime dependencies are
+        # installed: none loads a test extra.
         data_path = run_simulate(tmp_path, n=60)
-        argv = ["test", "--input", str(data_path), "--response", "y",
-                "--order-columns", "x1", "--intercept", "const",
-                "--grid", "10", "--replicates", "150",
-                "--out", str(tmp_path / "r.json")]
+        argv = {"test": ["test", "--input", str(data_path), "--response", "y",
+                         "--order-columns", "x1", "--intercept", "const",
+                         "--grid", "10", "--replicates", "150",
+                         "--out", str(tmp_path / "r.json")],
+                "simulate": ["simulate", "--n", "60",
+                             "--out", str(tmp_path / "s.csv")],
+                "verify": ["verify", "--experiment", "gram-identity"]}[command]
         code = ("import sys; from regbridge.cli import main; "
-                f"rc = main({argv!r}); print(rc, 'jsonschema' in sys.modules)")
+                f"rc = main({argv!r}); print(rc, sorted(m for m in "
+                "('jsonschema', 'hypothesis', 'pytest') if m in sys.modules))")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == f"{EXIT_OK} False"
+        assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} []"
 
 
 # ======================================================================

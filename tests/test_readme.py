@@ -1,4 +1,5 @@
-"""The README's quick-start, library example and planted breach run as printed."""
+"""The README's quick start, library example, planted breach and verify
+block run as printed."""
 
 import json
 import shlex
@@ -69,3 +70,14 @@ def test_planted_breach_is_rejected(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert main(test[1:]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["reject"] is True
+
+
+def test_verify_block_runs_as_printed(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    block = next(b for b in code_blocks("sh") if "verify --experiment bridges" in b)
+    commands = shell_commands(block)
+    assert [argv[:2] for argv in commands] == [["regbridge", "verify"]] * 2
+    for argv in commands:
+        assert main(argv[1:]) == EXIT_OK
+    assert "experiment 'bridges': PASS" in capsys.readouterr().out
+    assert json.loads((tmp_path / "size_report.json").read_text())["passed"]
