@@ -374,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--alpha", type=float, default=None,
                        help="override the rejection level (size/power)")
     p_ver.add_argument("--n-jobs", type=int, default=1,
-                       help="process count for size/power replicates")
+                       help="worker processes for size/power replicates "
+                            "(at most one per CPU)")
     p_ver.add_argument("--out", default=None, help="write a JSON report here")
     p_ver.add_argument("--emit-table", default=None, metavar="PATH",
                        help="write the cell table as CSV")

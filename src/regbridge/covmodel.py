@@ -9,7 +9,8 @@ where C is the pairwise copula cdf of the ordering regressors (min(s, t)
 on the diagonal), L_j is the running mean of the full regressor vector
 along the rows sorted by column j, and G is the normalized Gram matrix.
 `CovarianceModel` assembles the kernel from a curve L and a cdf C, and
-`EmpiricalCovariance` estimates both from a dataset.
+`EmpiricalCovariance` estimates both holding only G^{-1} and each slot's
+`OrderedView` (sort permutation, sorted column, running sums).
 
 The empirical L and C are read at the bridge's nodes [nt], L in place
 from each ordering's table of running sums (see `ordering`).  So ties
@@ -51,21 +52,16 @@ def _spd_inverse(G: np.ndarray) -> np.ndarray:
 
 
 class CovarianceModel:
-    """The bridge covariance kernel of the ordering slots `columns`.
+    """The bridge covariance kernel of `d_order` ordering slots.
 
-    `columns[slot]` is the regressor column the slot orders by, and
-    `gram_inv` the inverse of the Gram matrix given.  A subclass supplies
-    the running-mean curve, ``curve(slot, t)`` of shape (len(t), p), and
-    the pairwise cdf, ``cdf_grid(i, j, svals, tvals)``.
+    `gram_inv` is the inverse of the Gram matrix given.  A subclass
+    supplies the running-mean curve, ``curve(slot, t)`` of shape
+    (len(t), p), and the pairwise cdf, ``cdf_grid(i, j, svals, tvals)``.
     """
 
-    def __init__(self, columns, gram):
-        self.columns = tuple(columns)
+    def __init__(self, d_order: int, gram):
+        self.d_order = int(d_order)
         self.gram_inv = _spd_inverse(np.asarray(gram, dtype=float))
-
-    @property
-    def d_order(self) -> int:
-        return len(self.columns)
 
     def _check_slot(self, i: int) -> None:
         if not 0 <= i < self.d_order:
@@ -89,11 +85,11 @@ class CovarianceModel:
 
 
 class EmpiricalCovariance(CovarianceModel):
-    """Kernel ingredients estimated from one dataset.
+    """Kernel ingredients estimated from one dataset's ordering views.
 
-    `views[slot]` is the slot's `OrderedView` and `values[slot]` its
-    ordering column in row order.  The running mean at level t is the
-    view's regressor sums at node [nt], divided by n.
+    `views[slot]` is the slot's `OrderedView`; the model reads nothing
+    else of the data.  The running mean at level t is the view's
+    regressor sums at node [nt], divided by n.
 
     The (s, t) cell of `cdf_grid` counts rows whose slot-i value is at
     most the [ns]-th order statistic of slot i and whose slot-j value is
@@ -103,7 +99,8 @@ class EmpiricalCovariance(CovarianceModel):
 
     `cdf_grid` never forms (levels, n) indicator matrices.  Between two
     slots it sorts each slot's thresholds, puts every row in the bucket
-    of the first level whose threshold covers it (`searchsorted`),
+    of the first level whose threshold covers it (`searchsorted` on the
+    sorted column, scattered to rows through the view's permutation),
     histograms the bucket pairs into an (m_s + 1, m_t + 1) table, takes
     its 2-D cumulative sum and reads each level at its threshold's rank:
     O(n log m + m_s m_t) time, O(n + m_s m_t) memory.  Within one slot a
@@ -114,14 +111,10 @@ class EmpiricalCovariance(CovarianceModel):
     integer count divided by n.
     """
 
-    def __init__(self, columns, gram, views, values):
-        super().__init__(columns, gram)
+    def __init__(self, gram, views):
+        super().__init__(len(views), gram)
         self.views = tuple(views)
-        self.values = tuple(values)
-
-    @property
-    def n(self) -> int:
-        return self.values[0].shape[0]
+        self.n = self.views[0].n
 
     def curve(self, slot: int, t: np.ndarray) -> np.ndarray:
         return self.views[slot].sums[floor_index(self.n, t), 1:] / self.n
@@ -143,11 +136,16 @@ class EmpiricalCovariance(CovarianceModel):
         tt = self._thresholds(j, tvals)
         # A row's bucket is the number of thresholds below its value, so it
         # lies under the level ranked k among the sorted thresholds iff its
-        # bucket is at most k.
+        # bucket is at most k.  Buckets are found per sorted position; the
+        # slot-j ones go to rows through its permutation, and the pairs are
+        # read in slot-i order, which the histogram does not see.
         ss, st = np.sort(ts), np.sort(tt)
+        vi, vj = self.views[i], self.views[j]
+        bj = np.empty(self.n, dtype=np.intp)
+        bj[vj.perm] = np.searchsorted(st, vj.sorted_column, side="left")
         width = st.shape[0] + 1
-        pairs = (np.searchsorted(ss, self.values[i], side="left") * width
-                 + np.searchsorted(st, self.values[j], side="left"))
+        pairs = (np.searchsorted(ss, vi.sorted_column, side="left") * width
+                 + bj[vi.perm])
         hist = np.bincount(pairs, minlength=(ss.shape[0] + 1) * width)
         counts = hist.reshape(-1, width).cumsum(axis=0).cumsum(axis=1)
         return (counts.take(np.searchsorted(ss, ts, side="left"), axis=0)
@@ -159,7 +157,5 @@ def empirical_covariance(data: Dataset, views: tuple[OrderedView, ...],
     """Covariance model estimated from the data; `gram` is ``fit.gram``."""
     if tuple(v.column for v in views) != data.order_columns:
         raise ValidationError("views must cover order_columns in order")
-    return EmpiricalCovariance(
-        data.order_columns, gram, views,
-        values=tuple(data.regressors[:, j] for j in data.order_columns))
+    return EmpiricalCovariance(gram, views)
 

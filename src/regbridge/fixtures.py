@@ -306,7 +306,7 @@ class IndependenceCovariance(CovarianceModel):
         self.p = d + 1
         # mean of the regressor vector: the margin's mean, then the intercept
         self.means = np.append(np.full(d, margin.mean()), 1.0)
-        super().__init__(range(max(d, 1)), self.gram())
+        super().__init__(max(d, 1), self.gram())
 
     def h(self, j: int, x: float) -> np.ndarray:
         """Conditional mean of the regressor vector given coordinate j = x."""

@@ -384,10 +384,41 @@ class SizePowerResult:
 
 def _study_case(args) -> float:
     """One pipeline run; module level so process pools can pickle it."""
-    model, breach, n, inner, grid_m, level, data_key, null_key = args
-    data = sample_alternative(model, breach, n, data_key)
+    model, breach, n, inner, grid_m, level, key = args
+    data = sample_alternative(model, breach, n, key)
     return run_adequacy_test(data, grid_m=grid_m, replicates=inner,
-                             seed=null_key, level=level).p_value
+                             seed=key, level=level).p_value
+
+
+# The thread-count variables of OpenBLAS, OpenMP and MKL.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _pinned_pool_map(fn, items, n_jobs: int) -> list:
+    """`map` over a pool of spawned workers, n_jobs but at most one per CPU.
+
+    A forked worker keeps its parent's BLAS thread pool, so several of them
+    oversubscribe the cores.  Spawned workers load BLAS afresh while the
+    thread variables read "1", one thread each; `os.environ` is restored
+    after.  Like any spawned pool, a calling script needs the
+    ``if __name__ == "__main__":`` guard.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(n_jobs, os.cpu_count() or 1)
+    saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            chunk = max(1, len(items) // (workers * 8))
+            return list(pool.map(fn, items, chunksize=chunk))
+    finally:
+        for k in _BLAS_THREAD_VARS:
+            del os.environ[k]
+        os.environ.update({k: v for k, v in saved.items() if v is not None})
 
 
 def size_power_study(model: SyntheticModel, breach, n_values, level: float,
@@ -396,12 +427,12 @@ def size_power_study(model: SyntheticModel, breach, n_values, level: float,
     """Rejection rate of the full test per sample size.
 
     `breach` None measures size under the null; otherwise power under the
-    breach.  Replicate r at every n shares the stream key (seed, r, 0) for
-    the data and (seed, r, 1) as the null law's seed (which nothing here
-    reads: the p-value is exact), so rates across sample sizes are
-    comparable under common randomness.  With n_jobs > 1 replicates run
-    in a process pool; results are reduced in replicate order, so the
-    output does not depend on scheduling.  The pool is
+    breach.  Replicate r at every n draws its data from the stream key
+    (seed, r, 0), which is also the test's seed (nothing reads it: the
+    p-value is exact), so rates across sample sizes are comparable under
+    common randomness.  With n_jobs > 1 every (n, r) case runs in one
+    process pool (see `_pinned_pool_map`); results are reduced in case
+    order, so the output does not depend on scheduling.  The pool is
     imported only when n_jobs > 1, so callers that stay in-process never
     load `concurrent.futures` or `multiprocessing`.
     """
@@ -412,23 +443,19 @@ def size_power_study(model: SyntheticModel, breach, n_values, level: float,
     n_values = tuple(int(n) for n in n_values)
     key = as_seed_key(seed)
 
-    rejections = []
-    for n in n_values:
-        cases = [(model, breach, n, inner_replicates, grid_m, level,
-                  key + (r, 0), key + (r, 1)) for r in range(replicates)]
-        if n_jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-                chunk = max(1, replicates // (n_jobs * 8))
-                pvals = list(pool.map(_study_case, cases, chunksize=chunk))
-        else:
-            pvals = [_study_case(c) for c in cases]
-        rejections.append(int(sum(1 for p in pvals if p <= level)))
+    cases = [(model, breach, n, inner_replicates, grid_m, level, key + (r, 0))
+             for n in n_values for r in range(replicates)]
+    if n_jobs > 1:
+        pvals = _pinned_pool_map(_study_case, cases, n_jobs)
+    else:
+        pvals = [_study_case(c) for c in cases]
+    rejections = tuple(
+        int(sum(1 for p in pvals[k:k + replicates] if p <= level))
+        for k in range(0, len(pvals), replicates))
 
     return SizePowerResult(
         mode="size" if breach is None else "power",
-        n_values=n_values, rejections=tuple(rejections), level=level,
+        n_values=n_values, rejections=rejections, level=level,
         replicates=replicates, inner_replicates=inner_replicates,
         grid_m=grid_m, seed=key)
 

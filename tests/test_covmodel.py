@@ -144,7 +144,7 @@ class TestIndependenceFixture:
 
     def test_intercept_only_degenerates(self):
         cov = rb.fixtures.pinned_bridge_covariance()
-        assert cov.d == 0 and cov.p == 1 and cov.columns == (0,)
+        assert cov.d == 0 and cov.p == 1 and cov.d_order == 1
         assert np.allclose(cov.h(0, 0.3), [1.0])
         assert np.allclose(cov.b2(0, 0.3), [[0.0]])
         assert np.allclose(cov.gram(), [[1.0]])
@@ -200,30 +200,36 @@ def columns_covariance(cols):
                                    gram=np.eye(d + 1))
 
 
-def dense_indicators(cov, slot, levels):
-    """Dense (levels, n) 0/1 matrix of the rows at or below each threshold."""
-    counts = rb.floor_index(cov.n, np.asarray(levels, dtype=float))
-    out = np.zeros((len(levels), cov.n))
+def dense_indicators(data, slot, levels):
+    """Dense (levels, n) 0/1 matrix of the rows at or below each threshold.
+
+    The slot's column is read from the dataset, not from the model under
+    test.
+    """
+    col = data.regressors[:, data.order_columns[slot]]
+    counts = rb.floor_index(data.n, np.asarray(levels, dtype=float))
+    out = np.zeros((len(levels), data.n))
     nz = counts > 0
-    thresholds = np.sort(cov.values[slot])[counts[nz] - 1]
-    out[nz] = cov.values[slot][None, :] <= thresholds[:, None]
+    thresholds = np.sort(col)[counts[nz] - 1]
+    out[nz] = col[None, :] <= thresholds[:, None]
     return out
 
 
-def dense_cdf_grid(cov, i, j, svals, tvals):
+def dense_cdf_grid(data, i, j, svals, tvals):
     """Reference: product of the dense (levels, n) 0/1 indicator matrices."""
-    return (dense_indicators(cov, i, svals)
-            @ dense_indicators(cov, j, tvals).T) / cov.n
+    return (dense_indicators(data, i, svals)
+            @ dense_indicators(data, j, tvals).T) / data.n
 
 
-def dense_kernel(cov, X, m):
+def dense_kernel(data, m):
     """Reference grid matrix A (I - H) A' / n.
 
     A stacks every slot's indicators on the grid k/m, slot-major, and H
     is the hat matrix of the design X, from its QR factor.
     """
-    A = np.vstack([dense_indicators(cov, k, GridSpec(m).points())
-                   for k in range(cov.d_order)])
+    X = data.regressors
+    A = np.vstack([dense_indicators(data, k, GridSpec(m).points())
+                   for k in range(len(data.order_columns))])
     Q = np.linalg.qr(X)[0]
     return (A @ A.T - (A @ Q) @ (A @ Q).T) / X.shape[0]
 
@@ -237,10 +243,19 @@ def column_lists(n):
 
 
 @st.composite
-def two_column_covariances(draw):
+def two_columns(draw):
     """Two ordering columns of one length, each either 5-level or tie-free."""
     n = draw(st.integers(1, 40))
-    return columns_covariance([draw(column_lists(n)) for _ in range(2)])
+    return [draw(column_lists(n)) for _ in range(2)]
+
+
+@st.composite
+def permuted_tied_columns(draw):
+    """Two 5-level columns of one length and a permutation of their rows."""
+    n = draw(st.integers(2, 40))
+    cols = [draw(st.lists(st.integers(0, 4).map(float), min_size=n,
+                          max_size=n)) for _ in range(2)]
+    return cols, draw(st.permutations(range(n)))
 
 
 LEVEL_LISTS = st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
@@ -280,15 +295,27 @@ class TestEmpiricalJointCDF:
                 grid[a, b] = cov.cdf_grid(0, 1, [s], [t])[0, 0]
         assert np.max(np.abs(grid - np.outer(levels, levels))) < 0.03
 
-    @given(cov=two_column_covariances(), svals=LEVEL_LISTS, tvals=LEVEL_LISTS)
-    @example(cov=columns_covariance([[2.0, 0.0, 2.0, 1.0, 0.0],
-                                     [0.3, 0.1, 0.5, 0.2, 0.4]]),
+    @given(cols=two_columns(), svals=LEVEL_LISTS, tvals=LEVEL_LISTS)
+    @example(cols=[[2.0, 0.0, 2.0, 1.0, 0.0], [0.3, 0.1, 0.5, 0.2, 0.4]],
              svals=[0.6, 0.0, 1.0, 0.2], tvals=[1.0, 0.4, 0.0])
-    def test_matches_dense_indicator_product(self, cov, svals, tvals):
+    def test_matches_dense_indicator_product(self, cols, svals, tvals):
+        cov, data = columns_covariance(cols), columns_dataset(cols)
         for i in range(2):
             for j in range(2):
                 assert np.array_equal(cov.cdf_grid(i, j, svals, tvals),
-                                      dense_cdf_grid(cov, i, j, svals, tvals))
+                                      dense_cdf_grid(data, i, j, svals, tvals))
+
+    @given(case=permuted_tied_columns(), svals=LEVEL_LISTS, tvals=LEVEL_LISTS)
+    def test_cross_cells_invariant_under_row_permutation(self, case, svals,
+                                                         tvals):
+        # The cross-ordering cdf reads two orderings only through their
+        # joint ranks, so reordering the rows moves no cell by one bit.
+        cols, perm = case
+        cov = columns_covariance(cols)
+        moved = columns_covariance([np.asarray(c)[perm] for c in cols])
+        for i, j in ((0, 1), (1, 0)):
+            assert (moved.cdf_grid(i, j, svals, tvals).tobytes()
+                    == cov.cdf_grid(i, j, svals, tvals).tobytes())
 
     def test_kernel_memory_is_linear_in_n(self):
         # Every khat_grid block of a two-slot design at n = 10^5, m = 100.
@@ -463,7 +490,7 @@ class TestEmpiricalGridMatrix:
         assume(cond < 1e3)
         cov = empirical_model(data)
         K = build_grid_covariance(cov, GridSpec(m))
-        ref = dense_kernel(cov, data.regressors, m)
+        ref = dense_kernel(data, m)
         # Both bounds are relative to the cdf term, whose largest cell, at
         # t = 1, is 1: a design whose indicators all lie in its column
         # space has a zero kernel, and only roundoff to compare with.

@@ -135,7 +135,10 @@ class TestCSV:
 # ======================================================================
 
 def quad_integral(f, upper: float) -> float:
-    return quad(f, 0.0, upper, epsabs=1e-12, epsrel=1e-12)[0]
+    # Default tolerances: the integrands are polynomials of degree <= 2,
+    # which Gauss-Kronrod integrates exactly, and tighter ones only risk
+    # an IntegrationWarning.
+    return quad(f, 0.0, upper)[0]
 
 
 class TestQuantiles:

@@ -1,7 +1,9 @@
 """Monte Carlo lab: covariance experiments and the size/power study."""
 
+import concurrent.futures
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -296,6 +298,57 @@ class TestSizePowerStudy:
         assert serial.to_json_dict() == again.to_json_dict()
         assert serial.to_json_dict() == pooled.to_json_dict()
         json.dumps(serial.to_json_dict())
+
+    def test_pooled_power_matches_in_process(self):
+        # Two sample sizes share one pool; counts come back per n.
+        kwargs = dict(n_values=(30, 60), level=0.2, replicates=4, seed=11,
+                      inner_replicates=100, grid_m=10)
+        model, breach = rb.fixtures.single_uniform_model(), rb.AddQuadratic(4.0)
+        serial = rb.size_power_study(model, breach, **kwargs)
+        pooled = rb.size_power_study(model, breach, n_jobs=2, **kwargs)
+        assert serial.to_json_dict() == pooled.to_json_dict()
+
+    def test_pool_restores_environment(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        rb.size_power_study(rb.fixtures.single_uniform_model(), None,
+                            n_values=(30,), level=0.05, replicates=2, seed=12,
+                            inner_replicates=100, grid_m=10, n_jobs=2)
+        assert dict(os.environ) == before
+
+    def test_pool_workers_run_one_blas_thread(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        names = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+        assert mclab._pinned_pool_map(os.getenv, names, 2) == ["1", "1", "1"]
+
+    def test_study_starts_one_executor(self, monkeypatch):
+        started = []
+
+        class InlineExecutor:
+            """Runs the map in process and records the BLAS pin it saw."""
+
+            def __init__(self, max_workers, mp_context):
+                started.append(os.environ["OPENBLAS_NUM_THREADS"])
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlineExecutor)
+        res = rb.size_power_study(rb.fixtures.single_uniform_model(),
+                                  rb.AddQuadratic(4.0), n_values=(30, 60),
+                                  level=0.2, replicates=3, seed=13,
+                                  inner_replicates=100, grid_m=10, n_jobs=2)
+        assert started == ["1"]
+        assert len(res.rejections) == 2
 
     def test_breach_switches_mode(self):
         res = rb.size_power_study(rb.fixtures.single_uniform_model(),
