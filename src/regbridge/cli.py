@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the rejection level (size/power)")
     p_ver.add_argument("--n-jobs", type=int, default=1,
                        help="worker processes for size/power replicates "
-                            "(at most one per CPU)")
+                            "(at most one per usable CPU)")
     p_ver.add_argument("--out", default=None, help="write a JSON report here")
     p_ver.add_argument("--emit-table", default=None, metavar="PATH",
                        help="write the cell table as CSV")

@@ -10,8 +10,9 @@ processes against closed-form covariance targets:
 * the studentized residual bridges of the fitted regression against the
   plugged-in limit kernel.
 
-The first two processes are built here (`empirical_field`,
-`concomitant_sum_process`); the test itself never uses them.  Their
+The raw field is built here (`empirical_field`); the test itself never
+uses it.  The sum processes are the running sums of Y in
+`ordering.order_by`'s table, the routine the test's bridges read.  Both
 targets are integrals of the conditional moments over boxes, in closed
 form, and all empirical moments are uncentered: each compared process
 has exact mean zero by construction.
@@ -44,12 +45,11 @@ from .fixtures import (AddQuadratic, AffineQuantile, GaussianCopula,
                        analytic_covariance, sample_alternative,
                        sample_concomitant, sample_h0)
 from .ols import fit_lse
-from .ordering import all_orderings
+from .ordering import all_orderings, order_by
 from .rng import as_seed_key
 
 __all__ = [
     "empirical_field",
-    "concomitant_sum_process",
     "ErrorCell",
     "VerificationReport",
     "SizePowerResult",
@@ -88,25 +88,6 @@ def empirical_field(X, Y, queries, centers) -> np.ndarray:
     mask = np.all(X[None, :, :] <= queries[:, None, :], axis=2)
     raw = mask @ Y
     return (raw - n * centers) / math.sqrt(n)
-
-
-def concomitant_sum_process(X, Y, k: int, grid) -> np.ndarray:
-    """Cumulative sums of Y along coordinate k, read at grid levels.
-
-    Rows are sorted by X[:, k] (stable) and the first [n * t] sorted Y
-    values are summed and divided by sqrt(n), for each t in `grid`.
-    """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if X.ndim != 2 or Y.shape != (X.shape[0],):
-        raise ValidationError("need X of shape (n, d) and Y of shape (n,)")
-    if not 0 <= k < X.shape[1]:
-        raise ValidationError(f"coordinate {k} out of range")
-    n = X.shape[0]
-    order = np.argsort(X[:, k], kind="stable")
-    csum = np.concatenate(([0.0], np.cumsum(Y[order])))
-    idx = floor_index(n, grid)
-    return csum[idx] / math.sqrt(n)
 
 
 # ======================================================================
@@ -277,11 +258,12 @@ def verify_sum_covariance(model: SyntheticModel, n: int, replicates: int,
             f"got {model.field_slope}")
     _require_independence(model, "coordinate sum process")
     levels = np.atleast_1d(check_levels(levels))
+    idx = floor_index(n, levels)
 
     def row(key):
         X, Y = sample_concomitant(model, n, key)
-        return np.concatenate([concomitant_sum_process(X, Y, k, levels)
-                               for k in range(model.d1)])
+        return np.concatenate([order_by(X[:, k], Y[:, None]).sums[idx, 0]
+                               for k in range(model.d1)]) / math.sqrt(n)
 
     probes = [(k, float(t)) for k in range(model.d1) for t in levels]
 
@@ -395,7 +377,8 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 
 
 def _pinned_pool_map(fn, items, n_jobs: int) -> list:
-    """`map` over a pool of spawned workers, n_jobs but at most one per CPU.
+    """`map` over a pool of spawned workers, n_jobs but at most one per CPU
+    this process may run on (its affinity set, where the platform has one).
 
     A forked worker keeps its parent's BLAS thread pool, so several of them
     oversubscribe the cores.  Spawned workers load BLAS afresh while the
@@ -406,7 +389,9 @@ def _pinned_pool_map(fn, items, n_jobs: int) -> list:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    workers = min(n_jobs, os.cpu_count() or 1)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(n_jobs, cpus)
     saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:

@@ -62,7 +62,7 @@ class TestBridgeProcess:
     def test_residual_bridge_formula(self):
         d = rb.sample_h0(rb.fixtures.single_uniform_model(), 40, 2)
         fit = rb.fit_lse(d)
-        view = rb.order_by(d, fit, 0)
+        view = rb.all_orderings(d, fit)[0]
         b = rb.residual_bridge(view, fit.sigma2_hat)
         manual = np.concatenate(([0.0], np.cumsum(fit.residuals[view.perm])))
         manual /= math.sqrt(40 * fit.sigma2_hat)
@@ -79,7 +79,7 @@ class TestBridgeProcess:
     def test_degenerate_variance_raises(self):
         d = rb.sample_h0(rb.fixtures.single_uniform_model(), 20, 4)
         fit = rb.fit_lse(d)
-        view = rb.order_by(d, fit, 0)
+        view = rb.all_orderings(d, fit)[0]
         with pytest.raises(DegenerateModelError):
             rb.residual_bridge(view, 0.0)
 
@@ -209,13 +209,20 @@ class TestEmpiricalField:
         assert out[0] == 0.0
 
 
+def concomitant_sums(X, Y, k, levels):
+    """The sums experiment's process: running sums of Y along X[:, k]."""
+    n = len(Y)
+    sums = rb.order_by(X[:, k], Y[:, None]).sums
+    return sums[rb.floor_index(n, levels), 0] / math.sqrt(n)
+
+
 class TestConcomitantSumProcess:
     def test_full_level_is_total_sum(self):
         rng = np.random.default_rng(22)
         X = rng.random((40, 3))
         Y = rng.standard_normal(40)
         for k in range(3):
-            v = rb.concomitant_sum_process(X, Y, k, [1.0])
+            v = concomitant_sums(X, Y, k, [1.0])
             assert v[0] == pytest.approx(Y.sum() / math.sqrt(40))
 
     def test_matches_sorted_prefix_oracle(self):
@@ -226,7 +233,7 @@ class TestConcomitantSumProcess:
         for t in (0.0, 0.2, 0.48, 0.81, 1.0):
             k = int(math.floor(25 * t + 1e-9))
             expect = Y[order[:k]].sum() / math.sqrt(25)
-            got = rb.concomitant_sum_process(X, Y, 1, [t])[0]
+            got = concomitant_sums(X, Y, 1, [t])[0]
             assert got == pytest.approx(expect, abs=1e-12)
 
     def test_field_identity_at_order_statistics(self):
@@ -239,5 +246,5 @@ class TestConcomitantSumProcess:
         for t in (0.1, 0.5, 0.9):
             k = int(math.floor(30 * t + 1e-9))
             corner = np.array([srt[k - 1], 1.0])
-            assert rb.concomitant_sum_process(X, Y, 0, [t])[0] == pytest.approx(
+            assert concomitant_sums(X, Y, 0, [t])[0] == pytest.approx(
                 rb.empirical_field(X, Y, [corner], 0.0)[0], abs=1e-12)

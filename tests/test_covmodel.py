@@ -459,7 +459,7 @@ class TestEmpiricalCovariance:
         with pytest.raises(SingularDesignError):
             rb.fit_lse(d)
         fit = exact_fit(d, [1.0, 0.0, 0.0])
-        views = tuple(rb.order_by(d, fit, j) for j in (0, 1))
+        views = rb.all_orderings(d, fit)
         with pytest.raises(SingularDesignError):
             rb.empirical_covariance(d, views, gram=reg.T @ reg / 40)
 

@@ -271,6 +271,29 @@ class TestVerificationReport:
 # Size and power study
 # ======================================================================
 
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Run pool maps in process; record each pool's max_workers and BLAS pin."""
+    started = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers, mp_context):
+            started.append((max_workers, os.environ["OPENBLAS_NUM_THREADS"]))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InlineExecutor)
+    return started
+
+
 class TestSizePowerStudy:
     def test_level_one_always_rejects(self):
         res = rb.size_power_study(rb.fixtures.single_uniform_model(), None,
@@ -323,32 +346,25 @@ class TestSizePowerStudy:
         names = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
         assert mclab._pinned_pool_map(os.getenv, names, 2) == ["1", "1", "1"]
 
-    def test_study_starts_one_executor(self, monkeypatch):
-        started = []
-
-        class InlineExecutor:
-            """Runs the map in process and records the BLAS pin it saw."""
-
-            def __init__(self, max_workers, mp_context):
-                started.append(os.environ["OPENBLAS_NUM_THREADS"])
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            InlineExecutor)
+    def test_study_starts_one_executor(self, inline_pool):
         res = rb.size_power_study(rb.fixtures.single_uniform_model(),
                                   rb.AddQuadratic(4.0), n_values=(30, 60),
                                   level=0.2, replicates=3, seed=13,
                                   inner_replicates=100, grid_m=10, n_jobs=2)
-        assert started == ["1"]
+        assert [pin for _, pin in inline_pool] == ["1"]
         assert len(res.rejections) == 2
+
+    def test_pool_capped_by_usable_cpus(self, inline_pool, monkeypatch):
+        # The affinity set, not the machine's CPU count, caps the pool.
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert mclab._pinned_pool_map(abs, [-1, 2], 4) == [1, 2]
+        # Without an affinity call the CPU count is the cap.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert mclab._pinned_pool_map(abs, [-1, 2], 8) == [1, 2]
+        assert [workers for workers, _ in inline_pool] == [1, 3]
 
     def test_breach_switches_mode(self):
         res = rb.size_power_study(rb.fixtures.single_uniform_model(),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import regbridge as rb
 from regbridge.errors import ValidationError
@@ -15,12 +16,25 @@ def dataset_with_ties():
     return rb.Dataset(X, y, (0,), 1)
 
 
+@st.composite
+def tied_marks(draw):
+    """Ordering values on one to five levels, any (n, k) marks, and a row
+    permutation."""
+    n = draw(st.integers(1, 40))
+    levels = draw(st.integers(1, 5))
+    values = np.array(draw(st.lists(st.integers(0, levels - 1), min_size=n,
+                                    max_size=n)), dtype=float)
+    marks = draw(arrays(np.float64, (n, draw(st.integers(1, 3))),
+                        elements=st.floats(-1e3, 1e3)))
+    return values, marks, np.array(draw(st.permutations(range(n))))
+
+
 class TestOrderBy:
     def test_sorted_and_permutation_consistent(self):
         d = rb.sample_h0(rb.fixtures.two_uniform_model(), 64, 3)
         fit = rb.fit_lse(d)
-        for j in (0, 1):
-            v = rb.order_by(d, fit, j)
+        for v in rb.all_orderings(d, fit):
+            j = v.column
             assert np.all(np.diff(v.sorted_column) >= 0)
             assert np.array_equal(v.sorted_column, d.regressors[v.perm, j])
             rows = np.column_stack([fit.residuals, d.regressors])[v.perm]
@@ -38,21 +52,38 @@ class TestOrderBy:
 
     def test_stable_ties_keep_row_order(self):
         d = dataset_with_ties()
-        v = rb.order_by(d, rb.fit_lse(d), 0)
+        v = rb.all_orderings(d, rb.fit_lse(d))[0]
         # ties at 0.2 (rows 1, 3 -> sorted as 3, 1) and 0.5 (rows 0, 2)
         assert np.array_equal(v.perm, [3, 1, 4, 0, 2])
 
     def test_repeated_calls_identical(self):
         d = dataset_with_ties()
-        fit = rb.fit_lse(d)
-        a = rb.order_by(d, fit, 0)
-        b = rb.order_by(d, fit, 0)
+        marks = np.column_stack([rb.fit_lse(d).residuals, d.regressors])
+        a = rb.order_by(d.regressors[:, 0], marks, 0)
+        b = rb.order_by(d.regressors[:, 0], marks, 0)
         assert np.array_equal(a.perm, b.perm)
 
-    def test_non_ordering_column_rejected(self):
-        d = dataset_with_ties()
+    def test_mismatched_shapes_rejected(self):
+        values = np.array([0.5, 0.2, 0.5])
+        for marks in (np.ones((2, 2)), np.ones(3), np.ones((3, 1, 1))):
+            with pytest.raises(ValidationError):
+                rb.order_by(values, marks)
         with pytest.raises(ValidationError):
-            rb.order_by(d, rb.fit_lse(d), 1)
+            rb.order_by(np.ones((3, 1)), np.ones((3, 2)))
+
+    @given(case=tied_marks())
+    @settings(max_examples=50, deadline=None)
+    def test_rows_sum_every_mark_at_or_below_the_node(self, case):
+        values, marks, perm = case
+        v = rb.order_by(values, marks)
+        assert v.column == -1
+        assert v.sums.shape == (len(values) + 1, marks.shape[1])
+        assert not v.sums[0].any()
+        for i in range(1, len(values) + 1):
+            expect = marks[values <= v.sorted_column[i - 1]].sum(axis=0)
+            assert np.allclose(v.sums[i], expect, rtol=0.0, atol=1e-9)
+        moved = rb.order_by(values[perm], marks[perm])
+        assert np.allclose(moved.sums, v.sums, rtol=0.0, atol=1e-9)
 
     def test_single_row(self):
         d = rb.Dataset(np.array([[0.4, 1.0]]), np.array([2.0]), (0,), 1)
@@ -60,16 +91,9 @@ class TestOrderBy:
         fit = rb.FitResult(theta_hat=np.array([0.0, 2.0]), residuals=np.zeros(1),
                            sigma2_hat=0.0, gram=d.regressors.T @ d.regressors,
                            condition=np.inf)
-        v = rb.order_by(d, fit, 0)
+        v = rb.all_orderings(d, fit)[0]
         assert v.n == 1
         assert np.array_equal(v.perm, [0])
-
-    def test_mismatched_fit_rejected(self):
-        d = dataset_with_ties()
-        other = rb.sample_h0(rb.fixtures.single_uniform_model(), 8, 0)
-        fit = rb.fit_lse(other)
-        with pytest.raises(ValidationError):
-            rb.order_by(d, fit, 0)
 
 
 class TestAllOrderings:
@@ -84,6 +108,13 @@ class TestAllOrderings:
         views = rb.all_orderings(d, rb.fit_lse(d))
         for v in views:
             assert np.array_equal(np.sort(v.perm), np.arange(d.n))
+
+    def test_mismatched_fit_rejected(self):
+        d = dataset_with_ties()
+        other = rb.sample_h0(rb.fixtures.single_uniform_model(), 8, 0)
+        fit = rb.fit_lse(other)
+        with pytest.raises(ValidationError):
+            rb.all_orderings(d, fit)
 
 
 # ======================================================================
@@ -123,7 +154,7 @@ class TestTiedValues:
         # Sorted values 0.1 | 0.2 0.2 | 0.5 0.5: nodes 2 and 4 sit inside
         # a tie block and take the sum to its end.
         d = dataset_with_ties()
-        v = rb.order_by(d, rb.fit_lse(d), 0)
+        v = rb.all_orderings(d, rb.fit_lse(d))[0]
         assert np.allclose(v.sums[:, 1], [0.0, 0.1, 0.5, 0.5, 1.5, 1.5],
                            rtol=0.0, atol=1e-15)
         assert np.array_equal(v.sums[:, 2], [0, 1, 3, 3, 5, 5])
