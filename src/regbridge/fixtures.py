@@ -12,10 +12,13 @@ coordinate, plus the noise (concomitant mode, whose conditional variance
 is the noise variance).  :class:`IndependenceCovariance` is the closed-form limit
 kernel of the regression mode under the independence copula.
 
+The shipped models are one table, :data:`MODELS`, from fixture name to a
+frozen :class:`SyntheticModel`; :data:`GRAM_CASES` takes three of them
+and adds the intercept-only kernel of :func:`pinned_bridge_covariance`.
 Experiment defaults (sample sizes, replicate counts, seeds, grids,
-tolerances) are pinned in ``data/verify_fixtures.json``; the seeds were
-fixed after pilot runs so the shipped experiments are deterministic
-checks, not coin flips.
+tolerances) are pinned in ``data/verify_fixtures.json``, whose cases name
+their models from these tables; the seeds were fixed after pilot runs so
+the shipped experiments are deterministic checks, not coin flips.
 """
 
 from __future__ import annotations
@@ -37,9 +40,7 @@ __all__ = [
     "SyntheticModel", "AddQuadratic", "Heteroscedastic", "sample_h0",
     "sample_alternative", "sample_concomitant",
     "IndependenceCovariance", "analytic_covariance",
-    "field_model",
-    "zero_mean_field_model", "single_uniform_model", "two_uniform_model",
-    "affine_model", "pinned_bridge_covariance", "get_model", "get_gram_case",
+    "pinned_bridge_covariance", "get_model", "get_gram_case",
     "load_experiment_defaults", "MODELS", "GRAM_CASES",
 ]
 
@@ -352,42 +353,8 @@ def analytic_covariance(model: SyntheticModel) -> IndependenceCovariance:
 
 
 # ======================================================================
-# Models
+# Shipped models
 # ======================================================================
-
-def field_model(d: int = 2) -> SyntheticModel:
-    """Concomitant model with m(u) = u1 - 1/2 and unit conditional variance."""
-    return SyntheticModel(copula=IndependenceCopula(d),
-                          noise=NoiseSpec("normal", 1.0), field_slope=1.0)
-
-
-def zero_mean_field_model(d: int = 2) -> SyntheticModel:
-    """Concomitant model with m = 0 and unit conditional variance."""
-    return SyntheticModel(copula=IndependenceCopula(d),
-                          noise=NoiseSpec("normal", 1.0), field_slope=0.0)
-
-
-def single_uniform_model() -> SyntheticModel:
-    """One uniform regressor plus intercept: y = 2 x + 1 + eps."""
-    return SyntheticModel(copula=IndependenceCopula(1),
-                          theta=(2.0, 1.0),
-                          noise=NoiseSpec("normal", 1.0))
-
-
-def two_uniform_model() -> SyntheticModel:
-    """Two independent uniform regressors plus intercept."""
-    return SyntheticModel(copula=IndependenceCopula(2),
-                          theta=(1.0, -1.0, 0.5),
-                          noise=NoiseSpec("normal", 1.0))
-
-
-def affine_model() -> SyntheticModel:
-    """One affine-transformed uniform regressor on [-1, 1] plus intercept."""
-    return SyntheticModel(copula=IndependenceCopula(1),
-                          margin=AffineQuantile(shift=-1.0, scale=2.0),
-                          theta=(1.5, 0.5),
-                          noise=NoiseSpec("normal", 1.0))
-
 
 def pinned_bridge_covariance() -> IndependenceCovariance:
     """Covariance model whose kernel is min(s, t) - s*t exactly.
@@ -401,36 +368,41 @@ def pinned_bridge_covariance() -> IndependenceCovariance:
     return IndependenceCovariance(AffineQuantile(), 0)
 
 
+# The fixture models by name: concomitant with m(u) = u1 - 1/2 or m = 0,
+# else regression, the "affine" regressor uniform on [-1, 1]; N(0, 1)
+# noise.  The values are frozen and hold no array, so lookups share them.
 MODELS = {
-    "field": field_model,
-    "zero-mean-field": zero_mean_field_model,
-    "single-uniform": single_uniform_model,
-    "two-uniform": two_uniform_model,
-    "affine": affine_model,
+    "field": SyntheticModel(IndependenceCopula(2), field_slope=1.0),
+    "zero-mean-field": SyntheticModel(IndependenceCopula(2), field_slope=0.0),
+    "single-uniform": SyntheticModel(IndependenceCopula(1), theta=(2.0, 1.0)),
+    "two-uniform": SyntheticModel(IndependenceCopula(2),
+                                  theta=(1.0, -1.0, 0.5)),
+    "affine": SyntheticModel(IndependenceCopula(1), AffineQuantile(-1.0, 2.0),
+                             theta=(1.5, 0.5)),
 }
 
-GRAM_CASES = {
-    "single-uniform": single_uniform_model,
-    "two-uniform": two_uniform_model,
-    "affine": affine_model,
-    "intercept-only": pinned_bridge_covariance,
-}
+# The Gram identity cases.  The intercept-only kernel holds arrays, so it
+# is built afresh on each lookup.
+GRAM_CASES = {name: MODELS[name]
+              for name in ("single-uniform", "two-uniform", "affine")}
+GRAM_CASES["intercept-only"] = pinned_bridge_covariance
+
+
+def _lookup(table: dict, name: str, what: str):
+    try:
+        value = table[name]
+    except KeyError:
+        raise ValidationError(f"unknown {what} {name!r}; "
+                              f"choose from {sorted(table)}") from None
+    return value() if callable(value) else value
 
 
 def get_model(name: str) -> SyntheticModel:
-    try:
-        return MODELS[name]()
-    except KeyError:
-        raise ValidationError(f"unknown model fixture {name!r}; "
-                              f"choose from {sorted(MODELS)}")
+    return _lookup(MODELS, name, "model fixture")
 
 
 def get_gram_case(name: str):
-    try:
-        return GRAM_CASES[name]()
-    except KeyError:
-        raise ValidationError(f"unknown identity case {name!r}; "
-                              f"choose from {sorted(GRAM_CASES)}")
+    return _lookup(GRAM_CASES, name, "identity case")
 
 
 def load_experiment_defaults() -> dict:

@@ -21,7 +21,10 @@ A fourth experiment measures rejection rates of the full test pipeline
 under the null and under model breaches.  A fifth checks the closed-form
 Gram identity of `fixtures.IndependenceCovariance` by quadrature, the
 lab's only use of scipy's integrators.  `cmd_simulate` and
-`cmd_verify` are the CLI's ``simulate`` and ``verify`` commands.
+`cmd_verify` are the CLI's ``simulate`` and ``verify`` commands.  Each
+``verify`` experiment is one row of `_EXPERIMENTS`: its runner beside the
+flags it reads other than the fixture overrides.  The size and power
+studies share one runner and differ only in their check lines.
 """
 
 from __future__ import annotations
@@ -425,6 +428,8 @@ def size_power_study(model: SyntheticModel, breach, n_values, level: float,
         raise ValidationError(f"level must lie in (0, 1], got {level}")
     if replicates < 1:
         raise ValidationError("need at least one replicate")
+    if n_jobs < 1:
+        raise ValidationError(f"n_jobs must be >= 1, got {n_jobs}")
     n_values = tuple(int(n) for n in n_values)
     key = as_seed_key(seed)
 
@@ -476,6 +481,12 @@ def _build_model(args) -> SyntheticModel:
         margin=AffineQuantile(args.q_shift, args.q_scale))
 
 
+def _warn_ignored(flags, where: str) -> None:
+    for flag in flags:
+        print(f"warning: --{flag.replace('_', '-')} does not apply to "
+              f"{where}; ignored", file=sys.stderr)
+
+
 def cmd_simulate(args) -> int:
     check_targets([("--out", args.out)])
     if not (math.isfinite(args.noise_var) and args.noise_var >= 0):
@@ -484,10 +495,8 @@ def cmd_simulate(args) -> int:
     model = _build_model(args)
     breach = None
     if args.model == "h0":
-        for flag in ("coef", "breach_column"):
-            if getattr(args, flag) is not None:
-                print(f"warning: --{flag.replace('_', '-')} does not apply to "
-                      "--model h0; ignored", file=sys.stderr)
+        _warn_ignored([flag for flag in ("coef", "breach_column")
+                       if getattr(args, flag) is not None], "--model h0")
     elif args.model not in _BREACHES:
         raise ValidationError(
             f"unknown --model {args.model!r} "
@@ -509,16 +518,6 @@ _OVERRIDES = {"n": "n", "replicates": "replicates", "seed": "seed",
               "alpha": "level", "grid": "grid_m"}
 
 
-def _size_band(level: float, nominal: float, halfwidth: float) -> float:
-    """Rate tolerance around `level`, scaled like a binomial deviation.
-
-    Shrinks to 0 at level 1 (every p-value is <= 1, so the rate must be
-    exactly 1 there) and reproduces `halfwidth` at the nominal level.
-    """
-    return halfwidth * math.sqrt(level * (1.0 - level)
-                                 / (nominal * (1.0 - nominal)))
-
-
 def _pass(ok: bool) -> str:
     return "PASS" if ok else "FAIL"
 
@@ -538,44 +537,48 @@ def _cells(verify, points: str):
     return run
 
 
-def _study(cfg: dict, args, breach=None):
-    return size_power_study(
-        fixtures.get_model(cfg["model"]), breach, cfg["n_values"], cfg["level"],
-        cfg["replicates"], cfg["seed"], inner_replicates=cfg["inner_replicates"],
-        grid_m=cfg["grid_m"], n_jobs=args.n_jobs)
+def _study(checks):
+    """Runner of a study: power under the fixture's "breach", else size.
+    `checks(study, cfg)` yields one (line, ok) pair per check."""
+    def run(cfg: dict, args, table):
+        breach = cfg.get("breach")
+        if breach is not None:
+            if breach["kind"] not in _BREACHES:
+                raise ValidationError(f"unknown breach kind {breach['kind']!r}")
+            breach = _BREACHES[breach["kind"]](breach["coef"], breach["column"])
+        study = size_power_study(
+            fixtures.get_model(cfg["model"]), breach, cfg["n_values"],
+            cfg["level"], cfg["replicates"], cfg["seed"],
+            inner_replicates=cfg["inner_replicates"], grid_m=cfg["grid_m"],
+            n_jobs=args.n_jobs)
+        lines, oks = map(list, zip(*checks(study, cfg)))
+        payload = {**study.to_json_dict(), "checks": lines, "passed": all(oks)}
+        return payload, lines, payload["passed"]
+    return run
 
 
-def _judged(study, checks: list[str], passed: bool):
-    payload = {**study.to_json_dict(), "checks": checks, "passed": passed}
-    return payload, checks, passed
+def _size_checks(study, cfg: dict):
+    # Rate band around the level, scaled like a binomial deviation: it
+    # shrinks to 0 at level 1 (every p-value is <= 1, so the rate must be
+    # exactly 1 there) and is the fixture's halfwidth at the nominal level.
+    level, nominal = cfg["level"], cfg["nominal_level"]
+    band = cfg["band_halfwidth_at_nominal"] * math.sqrt(
+        level * (1.0 - level) / (nominal * (1.0 - nominal)))
+    for n, rate in zip(study.n_values, study.rates):
+        ok = abs(rate - level) <= band
+        yield (f"n={n}: rate {rate:.4f} vs level {level:g} "
+               f"(band +/-{band:.4f}) {_pass(ok)}"), ok
 
 
-def _run_size(cfg: dict, args, table):
-    study, level = _study(cfg, args), cfg["level"]
-    band = _size_band(level, cfg["nominal_level"],
-                      cfg["band_halfwidth_at_nominal"])
-    oks = [abs(rate - level) <= band for rate in study.rates]
-    checks = [f"n={n}: rate {rate:.4f} vs level {level:g} "
-              f"(band +/-{band:.4f}) {_pass(ok)}"
-              for n, rate, ok in zip(study.n_values, study.rates, oks)]
-    return _judged(study, checks, all(oks))
-
-
-def _run_power(cfg: dict, args, table):
-    breach = cfg["breach"]
-    if breach["kind"] not in _BREACHES:
-        raise ValidationError(f"unknown breach kind {breach['kind']!r}")
-    study = _study(cfg, args,
-                   _BREACHES[breach["kind"]](breach["coef"], breach["column"]))
+def _power_checks(study, cfg: dict):
     rates = study.rates
     floor = cfg["min_rate_ratio"] * cfg["level"]
     mono = all(b >= a for a, b in zip(rates, rates[1:]))
     exceeds = rates[-1] > floor
-    checks = ["rates " + " -> ".join(f"{r:.4f}" for r in rates)
-              + f" nondecreasing {_pass(mono)}",
-              f"rate at n={study.n_values[-1]} is {rates[-1]:.4f} > {floor:g} "
-              f"{_pass(exceeds)}"]
-    return _judged(study, checks, mono and exceeds)
+    return [("rates " + " -> ".join(f"{r:.4f}" for r in rates)
+             + f" nondecreasing {_pass(mono)}", mono),
+            (f"rate at n={study.n_values[-1]} is {rates[-1]:.4f} > {floor:g} "
+             f"{_pass(exceeds)}", exceeds)]
 
 
 def _run_gram_identity(cfg: dict, args, table):
@@ -590,37 +593,20 @@ def _run_gram_identity(cfg: dict, args, table):
             lines, worst <= tol)
 
 
-# Each runner takes one merged fixture case, the parsed arguments and the
+# Each experiment's runner and the flags it reads besides the overrides.
+# A runner takes one merged fixture case, the parsed arguments and the
 # cell-table path (or None), and returns its payload, its printed lines
-# and its pass flag.  Experiments in `_PER_CASE` run once per entry of
-# their fixture's "cases"; the others take their fixture whole.
+# and its pass flag.  An experiment that reads --emit-table writes one
+# table per case: it runs once per entry of its fixture's "cases".  The
+# others take their fixture whole.
 _EXPERIMENTS = {
-    "field": _cells(verify_field_covariance, "queries"),
-    "sums": _cells(verify_sum_covariance, "levels"),
-    "bridges": _cells(verify_bridge_covariance, "levels"),
-    "size": _run_size,
-    "power": _run_power,
-    "gram-identity": _run_gram_identity,
+    "field": (_cells(verify_field_covariance, "queries"), {"emit_table"}),
+    "sums": (_cells(verify_sum_covariance, "levels"), {"emit_table"}),
+    "bridges": (_cells(verify_bridge_covariance, "levels"), {"emit_table"}),
+    "size": (_study(_size_checks), {"n_jobs"}),
+    "power": (_study(_power_checks), {"n_jobs"}),
+    "gram-identity": (_run_gram_identity, set()),
 }
-_PER_CASE = frozenset({"field", "sums", "bridges"})
-
-
-def _ignored_flags(name: str, args, case: dict) -> list[str]:
-    """The given verify flags that experiment `name` does not read.
-
-    An override flag applies when the fixture case has the field it sets
-    (``--n`` sets ``n`` or ``n_values``); only the size and power studies
-    run a process pool, and only the per-case experiments write a cell
-    table.
-    """
-    fields = set(case) | ({"n"} if "n_values" in case else set())
-    flags = [flag for flag, key in _OVERRIDES.items()
-             if getattr(args, flag) is not None and key not in fields]
-    if args.n_jobs != 1 and name not in ("size", "power"):
-        flags.append("n_jobs")
-    if args.emit_table is not None and name not in _PER_CASE:
-        flags.append("emit_table")
-    return flags
 
 
 def cmd_verify(args) -> int:
@@ -629,23 +615,33 @@ def cmd_verify(args) -> int:
         raise ValidationError(
             f"unknown experiment {name!r}; choose from "
             f"{', '.join(_EXPERIMENTS)}")
+    run, reads = _EXPERIMENTS[name]
     fixture = fixtures.load_experiment_defaults()[name]
-    cases = fixture.get("cases", [fixture]) if name in _PER_CASE else [fixture]
-    table = args.emit_table if name in _PER_CASE else None
+    per_case = "emit_table" in reads
+    cases = fixture.get("cases", [fixture]) if per_case else [fixture]
+    table = args.emit_table if per_case else None
     tables = [table] * len(cases)
     if table and len(cases) > 1:
         root, ext = os.path.splitext(table)
         tables = [f"{root}_{case['model']}{ext or '.csv'}" for case in cases]
+    if args.n_jobs < 1:
+        raise ValidationError(f"--n-jobs must be >= 1, got {args.n_jobs}")
     check_targets([("--out", args.out)] + [("--emit-table", t) for t in tables])
-    for flag in _ignored_flags(name, args, cases[0]):
-        print(f"warning: --{flag.replace('_', '-')} does not apply to "
-              f"experiment {name!r}; ignored", file=sys.stderr)
+
+    # An override applies when the fixture case has the field it sets
+    # (--n sets n or n_values); the other flags, when the row reads them.
+    fields = set(cases[0]) | ({"n"} if "n_values" in cases[0] else set())
+    ignored = [flag for flag, key in _OVERRIDES.items()
+               if getattr(args, flag) is not None and key not in fields]
+    ignored += [flag for flag, unset in (("n_jobs", 1), ("emit_table", None))
+                if flag not in reads and getattr(args, flag) != unset]
+    _warn_ignored(ignored, f"experiment {name!r}")
     overrides = {key: getattr(args, flag) for flag, key in _OVERRIDES.items()
                  if getattr(args, flag) is not None}
     if args.n is not None:
         overrides["n_values"] = [args.n]
 
-    reports, lines, oks = zip(*[_EXPERIMENTS[name]({**case, **overrides}, args, t)
+    reports, lines, oks = zip(*[run({**case, **overrides}, args, t)
                                 for case, t in zip(cases, tables)])
     passed = all(oks)
 

@@ -56,7 +56,8 @@ def test_criterion_01_exact_integration():
 def test_criterion_02_fit_invariant_under_row_order():
     t0 = time.perf_counter()
     rng = np.random.default_rng(20260803)
-    models = [rb.fixtures.single_uniform_model(), rb.fixtures.two_uniform_model()]
+    models = [rb.fixtures.MODELS[name]
+              for name in ("single-uniform", "two-uniform")]
     worst = 0.0
     for i in range(20):
         n = int(rng.integers(40, 121))
@@ -74,8 +75,8 @@ def test_criterion_02_fit_invariant_under_row_order():
 
 def test_criterion_03_endpoint_pinning():
     t0 = time.perf_counter()
-    models = [rb.fixtures.single_uniform_model(), rb.fixtures.two_uniform_model(),
-              rb.fixtures.affine_model()]
+    models = [rb.fixtures.MODELS[name]
+              for name in ("single-uniform", "two-uniform", "affine")]
     worst = 0.0
     for r in range(1000):
         data = rb.sample_h0(models[r % 3], 50, (20260802, r))

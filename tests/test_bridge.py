@@ -60,7 +60,7 @@ class TestBridgeProcess:
             rb.BridgeProcess(np.array([0.1, 0.0]))
 
     def test_residual_bridge_formula(self):
-        d = rb.sample_h0(rb.fixtures.single_uniform_model(), 40, 2)
+        d = rb.sample_h0(rb.fixtures.MODELS["single-uniform"], 40, 2)
         fit = rb.fit_lse(d)
         view = rb.all_orderings(d, fit)[0]
         b = rb.residual_bridge(view, fit.sigma2_hat)
@@ -70,14 +70,14 @@ class TestBridgeProcess:
         assert b.column == 0
 
     def test_endpoint_pinned_with_intercept(self):
-        d = rb.sample_h0(rb.fixtures.two_uniform_model(), 80, 3)
+        d = rb.sample_h0(rb.fixtures.MODELS["two-uniform"], 80, 3)
         fit = rb.fit_lse(d)
         for view in rb.all_orderings(d, fit):
             b = rb.residual_bridge(view, fit.sigma2_hat)
             assert abs(b.values[-1]) < 1e-8
 
     def test_degenerate_variance_raises(self):
-        d = rb.sample_h0(rb.fixtures.single_uniform_model(), 20, 4)
+        d = rb.sample_h0(rb.fixtures.MODELS["single-uniform"], 20, 4)
         fit = rb.fit_lse(d)
         view = rb.all_orderings(d, fit)[0]
         with pytest.raises(DegenerateModelError):

@@ -863,7 +863,8 @@ class TestVerifyCommand:
         def must_not_run(*args):
             raise AssertionError("the experiment ran")
 
-        monkeypatch.setitem(mclab._EXPERIMENTS, name, must_not_run)
+        _, reads = mclab._EXPERIMENTS[name]
+        monkeypatch.setitem(mclab._EXPERIMENTS, name, (must_not_run, reads))
         monkeypatch.chdir(tmp_path)
         (tmp_path / "t_two-uniform.csv").mkdir()
         before = sorted(tmp_path.rglob("*"))
@@ -889,7 +890,8 @@ class TestVerifyCommand:
         def must_not_run(*args):
             raise AssertionError("the experiment ran")
 
-        monkeypatch.setitem(mclab._EXPERIMENTS, name, must_not_run)
+        _, reads = mclab._EXPERIMENTS[name]
+        monkeypatch.setitem(mclab._EXPERIMENTS, name, (must_not_run, reads))
         monkeypatch.chdir(tmp_path)
         (tmp_path / "t_two-uniform.csv").write_text("kept\n")
         before = tree_bytes(tmp_path)
@@ -900,6 +902,29 @@ class TestVerifyCommand:
         assert err.startswith(f"error: --out {flags[1]!r} and --emit-table ")
         assert err.endswith(" name one file\n") and err.count("\n") == 1
         assert tree_bytes(tmp_path) == before
+
+    @pytest.mark.parametrize("name, n_jobs", [
+        ("size", "0"), ("power", "-1"), ("bridges", "-1"),
+        ("gram-identity", "-3"), ("field", "0"), ("sums", "-2")])
+    def test_n_jobs_below_one_is_input_error(self, name, n_jobs, tmp_path,
+                                             monkeypatch, capsys):
+        # -1 asks joblib for every CPU; here it is refused with the output
+        # targets, before any experiment runs or anything is written.
+        from regbridge import mclab
+
+        def must_not_run(*args):
+            raise AssertionError("the experiment ran")
+
+        _, reads = mclab._EXPERIMENTS[name]
+        monkeypatch.setitem(mclab._EXPERIMENTS, name, (must_not_run, reads))
+        monkeypatch.chdir(tmp_path)
+        rc = main(["verify", "--experiment", name, "--n-jobs", n_jobs,
+                   "--out", "z.json", "--emit-table", "t.csv"])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err == f"error: --n-jobs must be >= 1, got {n_jobs}\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("name, replicates", [
         ("sums", "0"), ("field", "0"), ("bridges", "-3")])

@@ -86,8 +86,8 @@ class TestGridLorentz:
     def test_converges_to_closed_form(self):
         # Sorted-uniform running mean approaches (t^2 / 2, t) at rate
         # O(1 / sqrt(n)); 0.02 leaves ample room at n = 10000.
-        cov = empirical_model(rb.sample_h0(rb.fixtures.single_uniform_model(),
-                                           10_000, 11))
+        model = rb.fixtures.MODELS["single-uniform"]
+        cov = empirical_model(rb.sample_h0(model, 10_000, 11))
         ts = np.linspace(0.0, 1.0, 21)
         target = np.column_stack([ts ** 2 / 2.0, ts])
         assert np.max(np.abs(cov.curve(0, ts) - target)) < 0.02
@@ -97,20 +97,20 @@ class TestAnalyticLorentz:
     """The closed-form running-mean curve of independent coordinates."""
 
     def test_single_uniform_curve(self):
-        cov = rb.analytic_covariance(rb.fixtures.single_uniform_model())
+        cov = rb.analytic_covariance(rb.fixtures.MODELS["single-uniform"])
         ts = np.array([0.0, 0.25, 0.5, 1.0])
         assert np.allclose(cov.curve(0, ts), np.column_stack([ts ** 2 / 2, ts]),
                            atol=1e-15)
 
     def test_affine_curve(self):
         # q(u) = 2u - 1, so the partial integral is t^2 - t.
-        cov = rb.analytic_covariance(rb.fixtures.affine_model())
+        cov = rb.analytic_covariance(rb.fixtures.MODELS["affine"])
         ts = np.array([0.2, 0.5, 0.9])
         assert np.allclose(cov.curve(0, ts)[:, 0], ts ** 2 - ts, atol=1e-12)
         assert np.allclose(cov.curve(0, ts)[:, 1], ts, atol=1e-15)
 
     def test_unconditioned_slot_is_linear(self):
-        cov = rb.analytic_covariance(rb.fixtures.two_uniform_model())
+        cov = rb.analytic_covariance(rb.fixtures.MODELS["two-uniform"])
         ts = np.array([0.3, 0.8])
         # Slot 0 integrates its mean 1/2; slot 1 carries the conditioning.
         assert np.allclose(cov.curve(1, ts)[:, 0], 0.5 * ts, atol=1e-15)
@@ -133,7 +133,7 @@ class TestIndependenceFixture:
     """Closed-form moments of `IndependenceCovariance`."""
 
     def test_two_uniform_moments(self):
-        cov = rb.analytic_covariance(rb.fixtures.two_uniform_model())
+        cov = rb.analytic_covariance(rb.fixtures.MODELS["two-uniform"])
         assert np.allclose(cov.h(0, 0.7), [0.7, 0.5, 1.0], atol=1e-12)
         assert np.allclose(cov.b2(0, 0.7), np.diag([0.0, 1 / 12, 0.0]),
                            atol=1e-12)
@@ -152,7 +152,7 @@ class TestIndependenceFixture:
         assert cov.gram_inv.tobytes() == np.eye(1).tobytes()
 
     def test_slot_bounds(self):
-        cov = rb.analytic_covariance(rb.fixtures.single_uniform_model())
+        cov = rb.analytic_covariance(rb.fixtures.MODELS["single-uniform"])
         with pytest.raises(ValidationError):
             cov.h(1, 0.5)
         with pytest.raises(ValidationError):
@@ -167,12 +167,12 @@ class TestProductJointCDF:
     """The pairwise cdf of independent coordinates."""
 
     def test_diagonal_is_min(self):
-        cov = rb.analytic_covariance(rb.fixtures.two_uniform_model())
+        cov = rb.analytic_covariance(rb.fixtures.MODELS["two-uniform"])
         assert cov.cdf_grid(0, 0, [0.3], [0.7])[0, 0] == pytest.approx(0.3)
         assert cov.cdf_grid(1, 1, [0.9], [0.4])[0, 0] == pytest.approx(0.4)
 
     def test_off_diagonal_is_product(self):
-        cov = rb.analytic_covariance(rb.fixtures.two_uniform_model())
+        cov = rb.analytic_covariance(rb.fixtures.MODELS["two-uniform"])
         assert cov.cdf_grid(0, 1, [0.3], [0.7])[0, 0] == pytest.approx(0.21)
         grid = cov.cdf_grid(0, 1, [0.5, 1.0], [0.2, 0.4, 1.0])
         assert grid.shape == (2, 3)
@@ -286,7 +286,7 @@ class TestEmpiricalJointCDF:
                 rb.floor_index(4, t) / 4)
 
     def test_converges_to_product_under_independence(self):
-        cov = empirical_model(rb.sample_h0(rb.fixtures.two_uniform_model(),
+        cov = empirical_model(rb.sample_h0(rb.fixtures.MODELS["two-uniform"],
                                            10_000, 12))
         levels = np.linspace(0.1, 1.0, 10)
         grid = np.empty((10, 10))
@@ -321,7 +321,7 @@ class TestEmpiricalJointCDF:
         # Every khat_grid block of a two-slot design at n = 10^5, m = 100.
         # The indicator product peaked at about 170 MB traced here; the
         # bucket histogram needs a few n-length integer arrays.
-        d = rb.sample_h0(rb.fixtures.two_uniform_model(), 100_000, 3)
+        d = rb.sample_h0(rb.fixtures.MODELS["two-uniform"], 100_000, 3)
         fit = rb.fit_lse(d)
         cov = rb.empirical_covariance(d, rb.all_orderings(d, fit), gram=fit.gram)
         pts = GridSpec(100).points()
@@ -386,25 +386,25 @@ class TestSharedKernelIngredients:
 
 class TestAnalyticKhat:
     def test_single_uniform_hand_values(self):
-        cov = rb.analytic_covariance(rb.fixtures.single_uniform_model())
+        cov = rb.analytic_covariance(rb.fixtures.MODELS["single-uniform"])
         for s, t in [(0.5, 0.5), (0.3, 0.7), (0.2, 0.9), (1.0, 0.4)]:
             assert cov.khat(0, 0, s, t) == pytest.approx(
                 khat_single_uniform(s, t), abs=1e-12)
 
     def test_known_special_values(self):
-        cov = rb.analytic_covariance(rb.fixtures.single_uniform_model())
+        cov = rb.analytic_covariance(rb.fixtures.MODELS["single-uniform"])
         assert cov.khat(0, 0, 0.5, 0.5) == pytest.approx(1 / 16, abs=1e-14)
         # The intercept pins the process at t = 1: exact degeneracy.
         assert cov.khat(0, 0, 1.0, 1.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_symmetry_across_slots(self):
-        cov = rb.analytic_covariance(rb.fixtures.two_uniform_model())
+        cov = rb.analytic_covariance(rb.fixtures.MODELS["two-uniform"])
         for (i, j, s, t) in [(0, 1, 0.3, 0.8), (1, 0, 0.6, 0.2), (0, 0, 0.9, 0.1)]:
             assert cov.khat(i, j, s, t) == pytest.approx(
                 cov.khat(j, i, t, s), abs=1e-14)
 
     def test_grid_matches_scalar(self):
-        cov = rb.analytic_covariance(rb.fixtures.two_uniform_model())
+        cov = rb.analytic_covariance(rb.fixtures.MODELS["two-uniform"])
         levels = np.array([0.2, 0.5, 0.8])
         grid = cov.khat_grid(0, 1, levels, levels)
         assert grid.shape == (3, 3)
@@ -414,7 +414,7 @@ class TestAnalyticKhat:
                                                    abs=1e-14)
 
     def test_slot_bounds(self):
-        cov = rb.analytic_covariance(rb.fixtures.single_uniform_model())
+        cov = rb.analytic_covariance(rb.fixtures.MODELS["single-uniform"])
         with pytest.raises(ValidationError):
             cov.khat(1, 0, 0.5, 0.5)
 
@@ -434,7 +434,7 @@ class TestAnalyticKhat:
 
 class TestEmpiricalCovariance:
     def test_matches_analytic_at_moderate_n(self):
-        model = rb.fixtures.single_uniform_model()
+        model = rb.fixtures.MODELS["single-uniform"]
         d = rb.sample_h0(model, 20_000, 14)
         fit = rb.fit_lse(d)
         emp = rb.empirical_covariance(d, rb.all_orderings(d, fit), gram=fit.gram)
@@ -445,7 +445,7 @@ class TestEmpiricalCovariance:
         assert np.max(np.abs(diff)) < 0.02
 
     def test_views_must_cover_order_columns(self):
-        d = rb.sample_h0(rb.fixtures.two_uniform_model(), 100, 16)
+        d = rb.sample_h0(rb.fixtures.MODELS["two-uniform"], 100, 16)
         fit = rb.fit_lse(d)
         views = rb.all_orderings(d, fit)
         with pytest.raises(ValidationError):

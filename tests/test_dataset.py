@@ -75,7 +75,7 @@ class TestDataset:
 
 class TestCSV:
     def test_round_trip_bit_exact(self, tmp_path):
-        model = rb.fixtures.two_uniform_model()
+        model = rb.fixtures.MODELS["two-uniform"]
         data = rb.sample_h0(model, 37, 11)
         path = tmp_path / "d.csv"
         rb.write_csv(data, path)
@@ -222,13 +222,13 @@ class TestSampleH0:
         assert np.allclose(d.response, 2.0 * d.regressors[:, 0] + 1.0)
 
     def test_roles(self):
-        d = rb.sample_h0(rb.fixtures.two_uniform_model(), 50, 1)
+        d = rb.sample_h0(rb.fixtures.MODELS["two-uniform"], 50, 1)
         assert d.order_columns == (0, 1)
         assert d.intercept_column == 2
         assert np.all(d.regressors[:, 2] == 1.0)
 
     def test_deterministic_in_seed(self):
-        m = rb.fixtures.single_uniform_model()
+        m = rb.fixtures.MODELS["single-uniform"]
         a = rb.sample_h0(m, 64, 9)
         b = rb.sample_h0(m, 64, 9)
         c = rb.sample_h0(m, 64, 10)
@@ -236,7 +236,7 @@ class TestSampleH0:
         assert not np.array_equal(a.response, c.response)
 
     def test_independence_sample_correlation_small(self):
-        d = rb.sample_h0(rb.fixtures.two_uniform_model(), 100000, 21)
+        d = rb.sample_h0(rb.fixtures.MODELS["two-uniform"], 100000, 21)
         corr = np.corrcoef(d.regressors[:, 0], d.regressors[:, 1])[0, 1]
         assert abs(corr) < 0.01
 
@@ -265,7 +265,7 @@ class TestSampleH0:
 
 class TestSampleAlternative:
     def test_quadratic_changes_response_only(self):
-        m = rb.fixtures.single_uniform_model()
+        m = rb.fixtures.MODELS["single-uniform"]
         h0 = rb.sample_h0(m, 200, 3)
         alt = rb.sample_alternative(m, rb.AddQuadratic(1.5, 0), 200, 3)
         assert np.array_equal(alt.regressors, h0.regressors)
@@ -273,7 +273,7 @@ class TestSampleAlternative:
                            1.5 * h0.regressors[:, 0] ** 2)
 
     def test_constant_scale_equals_h0_in_distribution(self):
-        m = rb.fixtures.single_uniform_model()
+        m = rb.fixtures.MODELS["single-uniform"]
         breach = rb.Heteroscedastic(0.0)
         a = rb.sample_alternative(m, breach, 10000, 100)
         b = rb.sample_h0(m, 10000, 200)
@@ -281,7 +281,7 @@ class TestSampleAlternative:
         assert stat.pvalue > 0.01
 
     def test_constant_scale_same_seed_bit_equal(self):
-        m = rb.fixtures.single_uniform_model()
+        m = rb.fixtures.MODELS["single-uniform"]
         breach = rb.Heteroscedastic(0.0)
         a = rb.sample_alternative(m, breach, 500, 77)
         b = rb.sample_h0(m, 500, 77)
@@ -290,13 +290,13 @@ class TestSampleAlternative:
     def test_quadratic_breach_column_must_be_ordering_column(self):
         # Column d1 is the intercept: squaring it adds a constant that the
         # fit absorbs, so the draw would be a null labelled as a breach.
-        m = rb.fixtures.single_uniform_model()
+        m = rb.fixtures.MODELS["single-uniform"]
         for column in (m.d1, -1):
             with pytest.raises(ValidationError, match="breach column"):
                 rb.sample_alternative(m, rb.AddQuadratic(1.0, column), 10, 0)
 
     def test_heteroscedastic_breach_column_must_be_ordering_column(self):
-        m = rb.fixtures.single_uniform_model()
+        m = rb.fixtures.MODELS["single-uniform"]
         for column in (m.d1, -1):
             with pytest.raises(ValidationError, match="breach column"):
                 rb.sample_alternative(m, rb.Heteroscedastic(1.0, column), 10, 0)
@@ -304,7 +304,7 @@ class TestSampleAlternative:
     @pytest.mark.parametrize("coef", [3.0, -0.5])
     @pytest.mark.parametrize("column", [0, 1])
     def test_heteroscedastic_scales_the_null_noise(self, coef, column):
-        m = rb.fixtures.two_uniform_model()
+        m = rb.fixtures.MODELS["two-uniform"]
         h0 = rb.sample_h0(m, 300, 12)
         alt = rb.sample_alternative(m, rb.Heteroscedastic(coef, column), 300, 12)
         mean = h0.regressors @ np.asarray(m.theta)
@@ -321,12 +321,12 @@ class TestSampleAlternative:
             assert pickle.loads(pickle.dumps(breach)) == breach
 
     def test_unknown_breach(self):
-        m = rb.fixtures.single_uniform_model()
+        m = rb.fixtures.MODELS["single-uniform"]
         with pytest.raises(ValidationError, match="breach"):
             rb.sample_alternative(m, object(), 10, 0)
 
     def test_negative_scale_rejected(self):
-        m = rb.fixtures.single_uniform_model()
+        m = rb.fixtures.MODELS["single-uniform"]
         breach = rb.Heteroscedastic(-100.0)
         with pytest.raises(ValidationError, match="positive"):
             rb.sample_alternative(m, breach, 10, 0)
@@ -334,14 +334,14 @@ class TestSampleAlternative:
 
 class TestSampleConcomitant:
     def test_shapes_and_moments(self):
-        model = rb.fixtures.zero_mean_field_model(2)
+        model = rb.fixtures.MODELS["zero-mean-field"]
         X, Y = rb.sample_concomitant(model, 100000, 31)
         assert X.shape == (100000, 2) and Y.shape == (100000,)
         assert 0.98 < np.var(Y) < 1.02
         assert abs(Y.mean()) < 0.02
 
     def test_mean_map_applied(self):
-        model = rb.fixtures.field_model(2)
+        model = rb.fixtures.MODELS["field"]
         X, Y = rb.sample_concomitant(model, 200000, 8)
         # regressing Y on (x1 - 1/2) recovers slope 1
         g = X[:, 0] - 0.5
@@ -350,7 +350,8 @@ class TestSampleConcomitant:
 
     def test_requires_conditional_maps(self):
         with pytest.raises(ValidationError, match="field_slope"):
-            rb.sample_concomitant(rb.fixtures.single_uniform_model(), 10, 0)
+            rb.sample_concomitant(rb.fixtures.MODELS["single-uniform"],
+                                  10, 0)
 
     @pytest.mark.parametrize("seed", [0, 8, 31])
     @pytest.mark.parametrize("name", ["field", "zero-mean-field"])

@@ -127,12 +127,12 @@ class TestBuildGridCovariance:
     def test_single_uniform_m2_exact(self):
         # Levels (1/2, 1): khat(1/2, 1/2) = 1/16 and the intercept pins
         # every entry touching t = 1 to zero.
-        cov = rb.analytic_covariance(rb.fixtures.single_uniform_model())
+        cov = rb.analytic_covariance(rb.fixtures.MODELS["single-uniform"])
         A = rb.build_grid_covariance(cov, rb.GridSpec(2))
         assert np.allclose(A, [[1 / 16, 0.0], [0.0, 0.0]], atol=1e-14)
 
     def test_slot_major_layout(self):
-        cov = rb.analytic_covariance(rb.fixtures.two_uniform_model())
+        cov = rb.analytic_covariance(rb.fixtures.MODELS["two-uniform"])
         grid = rb.GridSpec(3)
         A = rb.build_grid_covariance(cov, grid)
         assert A.shape == (6, 6)
@@ -144,7 +144,7 @@ class TestBuildGridCovariance:
                     cov.khat(0, 1, pts[a], pts[b]), abs=1e-14)
 
     def test_grid_matrix_is_nearly_psd(self):
-        cov = rb.analytic_covariance(rb.fixtures.two_uniform_model())
+        cov = rb.analytic_covariance(rb.fixtures.MODELS["two-uniform"])
         A = rb.build_grid_covariance(cov, rb.GridSpec(40))
         w = np.linalg.eigvalsh(A)
         assert w[0] > -1e-8
@@ -224,7 +224,7 @@ class TestFactorPSD:
         assert np.all(f.weights == 0.0)
 
     def test_weights_are_the_clipped_eigenvalues(self):
-        cov = rb.analytic_covariance(rb.fixtures.two_uniform_model())
+        cov = rb.analytic_covariance(rb.fixtures.MODELS["two-uniform"])
         A = rb.build_grid_covariance(cov, rb.GridSpec(30))
         f = rb.factor_psd(A)
         w = np.linalg.eigvalsh(A)
@@ -235,7 +235,7 @@ class TestFactorPSD:
         assert np.allclose(f.weights[~below], w[~below], rtol=1e-12, atol=0.0)
 
     def test_bridge_kernel_clips_the_pinned_endpoint(self):
-        cov = rb.analytic_covariance(rb.fixtures.single_uniform_model())
+        cov = rb.analytic_covariance(rb.fixtures.MODELS["single-uniform"])
         A = rb.build_grid_covariance(cov, rb.GridSpec(50))
         f = rb.factor_psd(A)
         assert f.clip_count >= 1
@@ -247,7 +247,7 @@ class TestFactorPSD:
 
 class TestSimulateNull:
     def test_matches_manual_replicates(self):
-        cov = rb.analytic_covariance(rb.fixtures.single_uniform_model())
+        cov = rb.analytic_covariance(rb.fixtures.MODELS["single-uniform"])
         grid = rb.GridSpec(20)
         f = rb.factor_psd(rb.build_grid_covariance(cov, grid))
         null = rb.simulate_null(f, 120, grid, seed=(7, 3))

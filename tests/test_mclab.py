@@ -7,7 +7,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import nquad
 
 import regbridge as rb
@@ -34,7 +34,7 @@ def cell_lookup(report):
 
 class TestFieldExperiment:
     def test_targets_and_small_run(self):
-        model = rb.fixtures.field_model()
+        model = rb.fixtures.MODELS["field"]
         report = rb.verify_field_covariance(
             model, n=200, replicates=300,
             queries=[[0.5, 0.5], [1.0, 1.0]], seed=101, tolerance=0.12)
@@ -52,7 +52,7 @@ class TestFieldExperiment:
     def test_zero_coordinate_query_is_exact(self):
         # An orthant with a zero edge is empty: the field value and the
         # covariance target both vanish identically.
-        model = rb.fixtures.field_model()
+        model = rb.fixtures.MODELS["field"]
         report = rb.verify_field_covariance(
             model, n=50, replicates=300, queries=[[0.0, 0.7]], seed=105)
         (cell,) = report.cells
@@ -73,7 +73,7 @@ class TestFieldExperiment:
         assert report.passed
 
     def test_error_shrinks_under_refinement(self):
-        model = rb.fixtures.field_model()
+        model = rb.fixtures.MODELS["field"]
         queries = [[0.5, 0.5], [1.0, 1.0]]
         coarse = rb.verify_field_covariance(model, n=50, replicates=200,
                                             queries=queries, seed=102)
@@ -83,13 +83,13 @@ class TestFieldExperiment:
 
     def test_requires_conditional_law(self):
         with pytest.raises(ValidationError):
-            rb.verify_field_covariance(rb.fixtures.single_uniform_model(),
+            rb.verify_field_covariance(rb.fixtures.MODELS["single-uniform"],
                                        n=50, replicates=100,
                                        queries=[[0.5]], seed=0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejects_bad_queries(self):
-        model = rb.fixtures.field_model()
+        model = rb.fixtures.MODELS["field"]
         with pytest.raises(ValidationError):
             rb.verify_field_covariance(model, n=50, replicates=100,
                                        queries=[[0.5]], seed=0)
@@ -116,20 +116,27 @@ class TestBoxMoments:
     @settings(max_examples=25, deadline=None)
     @given(slope=st.floats(-3.0, 3.0), variance=st.floats(0.0, 4.0),
            corner=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+    @example(slope=1.5, variance=2.0,
+             corner=[2.2250738585072014e-308, 1.0, 0.5])
     def test_matches_quadrature(self, d, slope, variance, corner):
         # m(u) = slope * (u1 - 1/2) and sigma^2 + m^2, integrated over the
-        # box [0, corner] by scipy's nested adaptive quadrature.
+        # box [0, corner] by scipy's nested adaptive quadrature.  The box
+        # is mapped onto the unit cube, so that no quadrature edge is near
+        # the smallest normal double, where nquad reports an unreliable
+        # integral.
         model = rb.SyntheticModel(copula=rb.IndependenceCopula(d),
                                   noise=rb.NoiseSpec("normal", variance),
                                   field_slope=slope)
         upper = np.array(corner[:d])
-        ranges = [(0.0, float(u)) for u in upper]
+        volume = float(np.prod(upper))
+        unit = [(0.0, 1.0)] * d
 
-        def mean(*x):
-            return slope * (x[0] - 0.5)
+        def mean(*t):
+            return slope * (upper[0] * t[0] - 0.5)
 
-        want_mean = nquad(mean, ranges)[0]
-        want_second = nquad(lambda *x: variance + mean(*x) ** 2, ranges)[0]
+        want_mean = volume * nquad(mean, unit)[0]
+        want_second = volume * nquad(lambda *t: variance + mean(*t) ** 2,
+                                     unit)[0]
         got_mean, got_second = mclab._box_moments(model, upper)
         assert got_mean == pytest.approx(want_mean, abs=1e-9)
         assert got_second == pytest.approx(want_second, abs=1e-9)
@@ -137,9 +144,10 @@ class TestBoxMoments:
 
 @pytest.mark.parametrize("replicates", [0, -3])
 @pytest.mark.parametrize("verify, model, points", [
-    (rb.verify_field_covariance, rb.fixtures.field_model(), [[0.5, 0.5]]),
-    (rb.verify_sum_covariance, rb.fixtures.zero_mean_field_model(), [0.5]),
-    (rb.verify_bridge_covariance, rb.fixtures.single_uniform_model(), [0.5]),
+    (rb.verify_field_covariance, rb.fixtures.MODELS["field"], [[0.5, 0.5]]),
+    (rb.verify_sum_covariance, rb.fixtures.MODELS["zero-mean-field"], [0.5]),
+    (rb.verify_bridge_covariance, rb.fixtures.MODELS["single-uniform"],
+     [0.5]),
 ], ids=["field", "sums", "bridges"])
 def test_replicates_below_one_are_refused_before_sampling(
         verify, model, points, replicates, monkeypatch):
@@ -161,7 +169,7 @@ class TestSumsExperiment:
         # Unit conditional variance makes the targets box volumes:
         # min(t1, t2) on the same coordinate, t1 * t2 across coordinates.
         report = rb.verify_sum_covariance(
-            rb.fixtures.zero_mean_field_model(), n=200, replicates=400,
+            rb.fixtures.MODELS["zero-mean-field"], n=200, replicates=400,
             levels=[0.5, 1.0], seed=103, tolerance=0.15)
         cells = cell_lookup(report)
         assert cells[("S1(0.5)", "S1(1)")].target == pytest.approx(0.5)
@@ -174,7 +182,7 @@ class TestSumsExperiment:
         # S1(1) and S2(1) are the same total, so their empirical moments
         # agree exactly across the two coordinates.
         report = rb.verify_sum_covariance(
-            rb.fixtures.zero_mean_field_model(), n=100, replicates=150,
+            rb.fixtures.MODELS["zero-mean-field"], n=100, replicates=150,
             levels=[0.5, 1.0], seed=106)
         cells = cell_lookup(report)
         assert cells[("S1(1)", "S1(1)")].empirical == pytest.approx(
@@ -184,16 +192,16 @@ class TestSumsExperiment:
 
     def test_requires_zero_conditional_mean(self):
         with pytest.raises(ValidationError, match="field_slope 0"):
-            rb.verify_sum_covariance(rb.fixtures.field_model(), n=50,
+            rb.verify_sum_covariance(rb.fixtures.MODELS["field"], n=50,
                                      replicates=100, levels=[0.5], seed=0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejects_bad_levels(self):
+        model = rb.fixtures.MODELS["zero-mean-field"]
         for bad in (1.2, np.nan):
             with pytest.raises(ValidationError, match=r"levels must lie"):
-                rb.verify_sum_covariance(rb.fixtures.zero_mean_field_model(),
-                                         n=50, replicates=100, levels=[bad],
-                                         seed=0)
+                rb.verify_sum_covariance(model, n=50, replicates=100,
+                                         levels=[bad], seed=0)
 
 
 # ======================================================================
@@ -203,7 +211,7 @@ class TestSumsExperiment:
 class TestBridgesExperiment:
     def test_variance_at_midpoint(self):
         report = rb.verify_bridge_covariance(
-            rb.fixtures.single_uniform_model(), n=100, replicates=300,
+            rb.fixtures.MODELS["single-uniform"], n=100, replicates=300,
             levels=[0.5], seed=104, tolerance=0.02)
         (cell,) = report.cells
         assert cell.target == pytest.approx(1.0 / 16.0, abs=1e-12)
@@ -212,22 +220,22 @@ class TestBridgesExperiment:
 
     def test_two_regressor_grid(self):
         report = rb.verify_bridge_covariance(
-            rb.fixtures.two_uniform_model(), n=100, replicates=400,
+            rb.fixtures.MODELS["two-uniform"], n=100, replicates=400,
             levels=[0.25, 0.75], seed=107, tolerance=0.05)
         assert len(report.cells) == 4 * 5 // 2
         assert report.passed
 
     def test_requires_regression_model(self):
         with pytest.raises(ValidationError):
-            rb.verify_bridge_covariance(rb.fixtures.field_model(), n=50,
+            rb.verify_bridge_covariance(rb.fixtures.MODELS["field"], n=50,
                                         replicates=100, levels=[0.5], seed=0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejects_bad_levels(self):
+        model = rb.fixtures.MODELS["single-uniform"]
         for bad in (-0.1, 1.2, np.nan):
             with pytest.raises(ValidationError, match=r"levels must lie"):
-                rb.verify_bridge_covariance(rb.fixtures.single_uniform_model(),
-                                            n=50, replicates=100,
+                rb.verify_bridge_covariance(model, n=50, replicates=100,
                                             levels=[0.5, bad], seed=0)
 
 
@@ -252,8 +260,8 @@ class TestVerificationReport:
 
     def test_repeat_runs_are_identical(self):
         kwargs = dict(n=60, replicates=120, queries=[[0.5, 0.5]], seed=108)
-        a = rb.verify_field_covariance(rb.fixtures.field_model(), **kwargs)
-        b = rb.verify_field_covariance(rb.fixtures.field_model(), **kwargs)
+        a = rb.verify_field_covariance(rb.fixtures.MODELS["field"], **kwargs)
+        b = rb.verify_field_covariance(rb.fixtures.MODELS["field"], **kwargs)
         assert a.to_json_dict() == b.to_json_dict()
 
     def test_cells_csv(self, tmp_path):
@@ -296,7 +304,7 @@ def inline_pool(monkeypatch):
 
 class TestSizePowerStudy:
     def test_level_one_always_rejects(self):
-        res = rb.size_power_study(rb.fixtures.single_uniform_model(), None,
+        res = rb.size_power_study(rb.fixtures.MODELS["single-uniform"], None,
                                   n_values=(30,), level=1.0, replicates=3,
                                   seed=7, inner_replicates=100, grid_m=10)
         assert res.mode == "size"
@@ -305,7 +313,7 @@ class TestSizePowerStudy:
     def test_common_randomness_across_sample_sizes(self):
         # Repeating a sample size reuses the same replicate keys, so the
         # counts agree exactly.
-        res = rb.size_power_study(rb.fixtures.single_uniform_model(), None,
+        res = rb.size_power_study(rb.fixtures.MODELS["single-uniform"], None,
                                   n_values=(50, 50), level=0.5, replicates=6,
                                   seed=8, inner_replicates=100, grid_m=10)
         assert res.rejections[0] == res.rejections[1]
@@ -314,7 +322,7 @@ class TestSizePowerStudy:
     def test_deterministic_and_pool_invariant(self):
         kwargs = dict(n_values=(40,), level=0.05, replicates=4, seed=9,
                       inner_replicates=100, grid_m=10)
-        model = rb.fixtures.single_uniform_model()
+        model = rb.fixtures.MODELS["single-uniform"]
         serial = rb.size_power_study(model, None, **kwargs)
         again = rb.size_power_study(model, None, **kwargs)
         pooled = rb.size_power_study(model, None, n_jobs=2, **kwargs)
@@ -326,7 +334,8 @@ class TestSizePowerStudy:
         # Two sample sizes share one pool; counts come back per n.
         kwargs = dict(n_values=(30, 60), level=0.2, replicates=4, seed=11,
                       inner_replicates=100, grid_m=10)
-        model, breach = rb.fixtures.single_uniform_model(), rb.AddQuadratic(4.0)
+        model = rb.fixtures.MODELS["single-uniform"]
+        breach = rb.AddQuadratic(4.0)
         serial = rb.size_power_study(model, breach, **kwargs)
         pooled = rb.size_power_study(model, breach, n_jobs=2, **kwargs)
         assert serial.to_json_dict() == pooled.to_json_dict()
@@ -336,7 +345,7 @@ class TestSizePowerStudy:
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         before = dict(os.environ)
-        rb.size_power_study(rb.fixtures.single_uniform_model(), None,
+        rb.size_power_study(rb.fixtures.MODELS["single-uniform"], None,
                             n_values=(30,), level=0.05, replicates=2, seed=12,
                             inner_replicates=100, grid_m=10, n_jobs=2)
         assert dict(os.environ) == before
@@ -347,7 +356,7 @@ class TestSizePowerStudy:
         assert mclab._pinned_pool_map(os.getenv, names, 2) == ["1", "1", "1"]
 
     def test_study_starts_one_executor(self, inline_pool):
-        res = rb.size_power_study(rb.fixtures.single_uniform_model(),
+        res = rb.size_power_study(rb.fixtures.MODELS["single-uniform"],
                                   rb.AddQuadratic(4.0), n_values=(30, 60),
                                   level=0.2, replicates=3, seed=13,
                                   inner_replicates=100, grid_m=10, n_jobs=2)
@@ -367,7 +376,7 @@ class TestSizePowerStudy:
         assert [workers for workers, _ in inline_pool] == [1, 3]
 
     def test_breach_switches_mode(self):
-        res = rb.size_power_study(rb.fixtures.single_uniform_model(),
+        res = rb.size_power_study(rb.fixtures.MODELS["single-uniform"],
                                   rb.AddQuadratic(4.0),
                                   n_values=(60,), level=0.2, replicates=5,
                                   seed=10, inner_replicates=100, grid_m=10)
@@ -375,10 +384,83 @@ class TestSizePowerStudy:
         assert res.rates[0] > 0.0
 
     def test_parameter_validation(self):
-        model = rb.fixtures.single_uniform_model()
+        model = rb.fixtures.MODELS["single-uniform"]
         with pytest.raises(ValidationError):
             rb.size_power_study(model, None, n_values=(30,), level=0.0,
                                 replicates=3, seed=0, inner_replicates=100)
         with pytest.raises(ValidationError):
             rb.size_power_study(model, None, n_values=(30,), level=0.05,
                                 replicates=0, seed=0, inner_replicates=100)
+
+    @pytest.mark.parametrize("n_jobs", [0, -1, -3])
+    def test_n_jobs_below_one_is_refused_before_sampling(self, n_jobs,
+                                                         monkeypatch):
+        # -1 means "all CPUs" to joblib; here it must not run serially.
+        def must_not_run(*args):
+            raise AssertionError("a study case ran")
+
+        monkeypatch.setattr(mclab, "_study_case", must_not_run)
+        with pytest.raises(ValidationError,
+                           match=f"n_jobs must be >= 1, got {n_jobs}"):
+            rb.size_power_study(rb.fixtures.MODELS["single-uniform"], None,
+                                n_values=(30,), level=0.05, replicates=3,
+                                seed=0, inner_replicates=100, n_jobs=n_jobs)
+
+
+# ======================================================================
+# Shipped fixture tables
+# ======================================================================
+
+def _arrays(obj):
+    """Every numpy array reachable from obj's attributes and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for v in obj:
+            yield from _arrays(v)
+    elif hasattr(obj, "__dict__"):
+        for v in vars(obj).values():
+            yield from _arrays(v)
+
+
+class TestFixtureTables:
+    defaults = rb.fixtures.load_experiment_defaults()
+    named = {case["model"]
+             for fixture in defaults.values()
+             for case in fixture.get("cases", [fixture])
+             if isinstance(case, dict) and "model" in case}
+
+    def test_every_fixture_model_resolves(self):
+        assert self.named
+        for name in self.named:
+            assert rb.fixtures.get_model(name) is rb.fixtures.MODELS[name]
+
+    def test_every_gram_case_resolves(self):
+        for name in self.defaults["gram-identity"]["cases"]:
+            case = rb.fixtures.get_gram_case(name)
+            assert isinstance(case, (rb.SyntheticModel,
+                                     rb.IndependenceCovariance))
+
+    def test_no_model_is_dead(self):
+        cases = set(self.defaults["gram-identity"]["cases"])
+        assert set(rb.fixtures.MODELS) <= self.named | cases
+        assert set(rb.fixtures.GRAM_CASES) == cases
+
+    def test_no_shared_value_holds_a_mutable_array(self):
+        # The walk finds the arrays that a copula or kernel holds.
+        assert list(_arrays(rb.GaussianCopula(2, 0.3)))
+        assert list(_arrays(rb.fixtures.pinned_bridge_covariance()))
+        shared = [*rb.fixtures.MODELS.values(),
+                  *(v for v in rb.fixtures.GRAM_CASES.values()
+                    if not callable(v))]
+        for value in shared:
+            assert all(not a.flags.writeable for a in _arrays(value))
+        first = rb.fixtures.get_gram_case("intercept-only")
+        assert first is not rb.fixtures.get_gram_case("intercept-only")
+
+    def test_unknown_names_list_the_table(self):
+        with pytest.raises(ValidationError, match="choose from .*'affine'"):
+            rb.fixtures.get_model("sideways")
+        with pytest.raises(ValidationError,
+                           match="unknown identity case .*'intercept-only'"):
+            rb.fixtures.get_gram_case("field")

@@ -31,7 +31,7 @@ def tied_marks(draw):
 
 class TestOrderBy:
     def test_sorted_and_permutation_consistent(self):
-        d = rb.sample_h0(rb.fixtures.two_uniform_model(), 64, 3)
+        d = rb.sample_h0(rb.fixtures.MODELS["two-uniform"], 64, 3)
         fit = rb.fit_lse(d)
         for v in rb.all_orderings(d, fit):
             j = v.column
@@ -42,7 +42,7 @@ class TestOrderBy:
                                                      np.cumsum(rows, axis=0)]))
 
     def test_view_arrays_are_read_only_and_own_their_memory(self):
-        d = rb.sample_h0(rb.fixtures.two_uniform_model(), 64, 4)
+        d = rb.sample_h0(rb.fixtures.MODELS["two-uniform"], 64, 4)
         fit = rb.fit_lse(d)
         for v in rb.all_orderings(d, fit):
             for a in (v.perm, v.sorted_column, v.sums):
@@ -98,20 +98,20 @@ class TestOrderBy:
 
 class TestAllOrderings:
     def test_covers_order_columns_in_order(self):
-        d = rb.sample_h0(rb.fixtures.two_uniform_model(), 32, 5)
+        d = rb.sample_h0(rb.fixtures.MODELS["two-uniform"], 32, 5)
         fit = rb.fit_lse(d)
         views = rb.all_orderings(d, fit)
         assert tuple(v.column for v in views) == d.order_columns
 
     def test_views_reorder_same_rows(self):
-        d = rb.sample_h0(rb.fixtures.two_uniform_model(), 32, 6)
+        d = rb.sample_h0(rb.fixtures.MODELS["two-uniform"], 32, 6)
         views = rb.all_orderings(d, rb.fit_lse(d))
         for v in views:
             assert np.array_equal(np.sort(v.perm), np.arange(d.n))
 
     def test_mismatched_fit_rejected(self):
         d = dataset_with_ties()
-        other = rb.sample_h0(rb.fixtures.single_uniform_model(), 8, 0)
+        other = rb.sample_h0(rb.fixtures.MODELS["single-uniform"], 8, 0)
         fit = rb.fit_lse(other)
         with pytest.raises(ValidationError):
             rb.all_orderings(d, fit)
