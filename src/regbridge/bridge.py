@@ -2,12 +2,12 @@
 
 For a view sorted by one ordering column, the bridge is the running sum of
 residuals at k/n, divided by sqrt(n * sigma2_hat); inside a block of tied
-ordering values every node takes the sum to the end of the block (see
-`ordering`).  With an intercept in the design the residuals sum to zero,
-so each bridge is pinned at both ends.  The statistic integrates the
-squared bridge over [0, 1], summed across ordering columns; the integral
-of a piecewise-linear square has a closed form, used here instead of any
-quadrature.
+ordering values every node takes the sum to the end of the block, the
+view's `ends` (see `ordering`).  With an intercept in the design the
+residuals sum to zero, so each bridge is pinned at both ends.  The
+statistic integrates the squared bridge over [0, 1], summed across
+ordering columns; the integral of a piecewise-linear square has a closed
+form, used here instead of any quadrature.
 """
 
 from __future__ import annotations
@@ -18,35 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateModelError, ValidationError
-from .ordering import OrderedView
+from .ordering import OrderedView, check_levels
 
 __all__ = [
     "BridgeProcess",
     "residual_bridge",
     "evaluate",
     "omega_sq",
-    "floor_index",
     "write_bridge_csv",
 ]
-
-
-def check_levels(t, message: str = "levels must lie in [0, 1]") -> np.ndarray:
-    """t as a float array; raises ValidationError(message) unless every
-    entry lies in [0, 1], so NaN is refused too."""
-    t = np.asarray(t, dtype=float)
-    if not np.all((t >= 0.0) & (t <= 1.0)):
-        raise ValidationError(message)
-    return t
-
-
-def floor_index(n: int, t) -> np.ndarray:
-    """Count of order statistics at or below level t: the [nt] convention.
-
-    A small forward nudge keeps products like 0.3 * 10 from landing one
-    step low through floating-point rounding.
-    """
-    t = check_levels(t, "grid levels must lie in [0, 1]")
-    return np.minimum(np.maximum(np.floor(n * t + 1e-9).astype(int), 0), n)
 
 
 @dataclass(frozen=True)

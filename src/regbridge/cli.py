@@ -199,17 +199,23 @@ def _file_key(path: str):
     return stat.st_dev, stat.st_ino
 
 
-def check_targets(files, bridge_dir=None, columns=(), source=None) -> None:
+def check_targets(files, bridge_dir=None, columns=(), source=None,
+                  ignored=()) -> None:
     """Refuse, before anything is read or written, a bad output target.
 
-    `files` holds (flag, path) pairs, a path of None unused: a file target
-    that is a directory or has no directory is refused.  So is an
+    An empty path is refused for every flag, those in `ignored`, the
+    (flag, path) pairs of outputs the command does not write, included.
+    `files` holds (flag, path) pairs, a path of None unused: a file
+    target that is a directory or has no directory is refused.  So is an
     --emit-bridges `bridge_dir` that cannot be made, or whose bridge file
     for one of `columns` is a directory.  No two targets, the bridge
     directory and its bridge files included, may name one file (through a
     symbolic or hard link too), and none may name `source`, the (flag,
     path) pair of the input.
     """
+    for flag, path in [*files, ("--emit-bridges", bridge_dir), *ignored]:
+        if path == "":
+            raise ValidationError(f"{flag}: empty path")
     files = [(flag, path) for flag, path in files if path]
     claimed = [source] if source else []
     if bridge_dir:

@@ -10,29 +10,29 @@ on the diagonal), L_j is the running mean of the full regressor vector
 along the rows sorted by column j, and G is the normalized Gram matrix.
 `CovarianceModel` assembles the kernel from a curve L and a cdf C, and
 `EmpiricalCovariance` estimates both holding only G^{-1} and each slot's
-`OrderedView` (sort permutation, sorted column, running sums).
+`OrderedView` (sort permutation, block ends, running sums).
 
-The empirical L and C are read at the bridge's nodes [nt], L in place
-from each ordering's table of running sums (see `ordering`).  So ties
-group as in the bridge, and the grid matrix is (1/n) A (I - H) A', for A
-the 0/1 matrix of rows at or below each level and H the hat matrix: PSD.
-The empirical C on an m_s x m_t grid of levels comes from one histogram
-of bucket pairs, not from (m, n) indicator matrices: each row falls in
-the bucket of the first level whose order-statistic threshold it is at
-or below (the `<=` rule, ties included), and a 2-D cumulative sum of the
-bucket-pair counts gives every cell.  That costs O(n log m + m_s m_t)
-time and O(n + m_s m_t) memory, and every cell is an exact count over n.
+The empirical L and C are read at the bridge's nodes [nt]: L from each
+ordering's table of running sums, C from its block ends, the count of
+rows at or below each node's value (see `ordering`).  So ties group as in
+the bridge, and the grid matrix is (1/n) A (I - H) A', for A the 0/1
+matrix of rows at or below each level and H the hat matrix: PSD.  The
+empirical C on an m_s x m_t grid of levels comes from one histogram of
+bucket pairs, not from (m, n) indicator matrices: each sorted position
+falls in the bucket of the first level whose block end lies past it,
+and a 2-D cumulative sum of the bucket-pair counts gives every cell.
+That costs O(n log m + m_s m_t) time and O(n + m_s m_t) memory, and
+every cell is an exact count over n.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bridge import check_levels, floor_index
 from .dataset import Dataset
 from .errors import SingularDesignError, ValidationError
 from .ols import COND_THRESHOLD
-from .ordering import OrderedView
+from .ordering import OrderedView, check_levels, floor_index
 
 __all__ = [
     "CovarianceModel",
@@ -49,6 +49,14 @@ def _spd_inverse(G: np.ndarray) -> np.ndarray:
             f"Gram matrix is numerically singular (eigenvalue range "
             f"[{w[0]:.3e}, {w[-1]:.3e}])")
     return (V / w) @ V.T
+
+
+def _grid_levels(levels) -> np.ndarray:
+    """A scalar or 1-D array of levels in [0, 1], as a 1-D float array."""
+    levels = np.atleast_1d(check_levels(levels))
+    if levels.ndim != 1:
+        raise ValidationError("levels must be a scalar or a 1-D array")
+    return levels
 
 
 class CovarianceModel:
@@ -68,14 +76,17 @@ class CovarianceModel:
             raise ValidationError(f"ordering slot {i} outside 0..{self.d_order - 1}")
 
     def khat_grid(self, i: int, j: int, svals, tvals) -> np.ndarray:
-        """Kernel values between slots i and j on a grid, shape (len(s), len(t))."""
+        """Kernel values between slots i and j on a grid, shape (len(s), len(t)).
+
+        Each of `svals` and `tvals` is a level or a 1-D array of levels.
+        """
         self._check_slot(i)
         self._check_slot(j)
-        svals = np.atleast_1d(check_levels(svals))
+        svals = _grid_levels(svals)
         # A diagonal block on equal levels: one curve evaluation, and
-        # `cdf_grid` sees the same array twice and ranks it once.
+        # `cdf_grid` sees the same array twice and counts it once.
         shared = i == j and np.array_equal(svals, tvals)
-        tvals = svals if shared else np.atleast_1d(check_levels(tvals))
+        tvals = svals if shared else _grid_levels(tvals)
         li = self.curve(i, svals)
         lj = li if shared else self.curve(j, tvals)
         return self.cdf_grid(i, j, svals, tvals) - li @ self.gram_inv @ lj.T
@@ -91,24 +102,22 @@ class EmpiricalCovariance(CovarianceModel):
     else of the data.  The running mean at level t is the view's
     regressor sums at node [nt], divided by n.
 
-    The (s, t) cell of `cdf_grid` counts rows whose slot-i value is at
-    most the [ns]-th order statistic of slot i and whose slot-j value is
-    at most the [nt]-th order statistic of slot j, divided by n.  The
-    `<=` rule counts every row tied with a threshold.  A level with
-    [ns] = 0 has threshold -inf and covers no row of a finite column.
+    The (s, t) cell of `cdf_grid` counts rows that lie at or below node
+    [ns] of slot i and at or below node [nt] of slot j, divided by n.  A
+    view's block ends give the first count: the rows under node k are its
+    first ends[k] sorted positions, ties included, and none at k = 0.
 
-    `cdf_grid` never forms (levels, n) indicator matrices.  Between two
-    slots it sorts each slot's thresholds, puts every row in the bucket
-    of the first level whose threshold covers it (`searchsorted` on the
-    sorted column, scattered to rows through the view's permutation),
+    Within one slot a row is under both nodes iff it is under the lower
+    one, so a cell is min(ends[[ns]], ends[[nt]]) / n: O(m_s m_t), with no
+    pass over the rows, and one array passed as both `svals` and `tvals`
+    is counted once.  Between two slots `cdf_grid` never forms (levels,
+    n) indicator matrices.  It sorts each slot's counts, puts every
+    sorted position in the bucket of the first level whose count lies
+    past it (scattered to rows through the view's permutation),
     histograms the bucket pairs into an (m_s + 1, m_t + 1) table, takes
-    its 2-D cumulative sum and reads each level at its threshold's rank:
-    O(n log m + m_s m_t) time, O(n + m_s m_t) memory.  Within one slot a
-    row is under both thresholds iff it is under the lower one, so a
-    cell is the count of sorted values at or below the lower threshold:
-    O(m log n + m_s m_t), with no pass over the rows, and one array passed
-    as both `svals` and `tvals` is ranked once.  Every cell is an exact
-    integer count divided by n.
+    its 2-D cumulative sum and reads each level at its count's rank:
+    O(n log m + m_s m_t) time, O(n + m_s m_t) memory.  Every cell is an
+    exact integer count divided by n.
     """
 
     def __init__(self, gram, views):
@@ -119,37 +128,32 @@ class EmpiricalCovariance(CovarianceModel):
     def curve(self, slot: int, t: np.ndarray) -> np.ndarray:
         return self.views[slot].sums[floor_index(self.n, t), 1:] / self.n
 
-    def _thresholds(self, slot: int, levels) -> np.ndarray:
-        """The [n * level]-th order statistic of the slot's column, -inf at 0."""
-        counts = floor_index(self.n, np.atleast_1d(levels))
-        return np.where(counts > 0, self.views[slot].sorted_column[counts - 1],
-                        -np.inf)
+    def _covered(self, slot: int, levels) -> np.ndarray:
+        """Count of the slot's rows at or below node [n * level]."""
+        return self.views[slot].ends[floor_index(self.n, np.atleast_1d(levels))]
 
     def cdf_grid(self, i: int, j: int, svals, tvals) -> np.ndarray:
-        ts = self._thresholds(i, svals)
+        cs = self._covered(i, svals)
         if i == j:
-            srt = self.views[i].sorted_column
-            cs = np.searchsorted(srt, ts, side="right")
-            ct = cs if tvals is svals else np.searchsorted(
-                srt, self._thresholds(j, tvals), side="right")
+            ct = cs if tvals is svals else self._covered(i, tvals)
             return np.minimum.outer(cs, ct) / self.n
-        tt = self._thresholds(j, tvals)
-        # A row's bucket is the number of thresholds below its value, so it
-        # lies under the level ranked k among the sorted thresholds iff its
-        # bucket is at most k.  Buckets are found per sorted position; the
-        # slot-j ones go to rows through its permutation, and the pairs are
-        # read in slot-i order, which the histogram does not see.
-        ss, st = np.sort(ts), np.sort(tt)
-        vi, vj = self.views[i], self.views[j]
+        ct = self._covered(j, tvals)
+        # Sorted position p lies under a level iff p is below its count, so
+        # under the level ranked k among the sorted counts iff its bucket,
+        # the number of counts at most p, is at most k.  The slot-j buckets
+        # go to rows through its permutation, and the pairs are read in
+        # slot-i order, which the histogram does not see.
+        ss, st = np.sort(cs), np.sort(ct)
+        pos = np.arange(self.n)
         bj = np.empty(self.n, dtype=np.intp)
-        bj[vj.perm] = np.searchsorted(st, vj.sorted_column, side="left")
+        bj[self.views[j].perm] = np.searchsorted(st, pos, side="right")
         width = st.shape[0] + 1
-        pairs = (np.searchsorted(ss, vi.sorted_column, side="left") * width
-                 + bj[vi.perm])
+        pairs = (np.searchsorted(ss, pos, side="right") * width
+                 + bj[self.views[i].perm])
         hist = np.bincount(pairs, minlength=(ss.shape[0] + 1) * width)
         counts = hist.reshape(-1, width).cumsum(axis=0).cumsum(axis=1)
-        return (counts.take(np.searchsorted(ss, ts, side="left"), axis=0)
-                .take(np.searchsorted(st, tt, side="left"), axis=1) / self.n)
+        return (counts.take(np.searchsorted(ss, cs, side="left"), axis=0)
+                .take(np.searchsorted(st, ct, side="left"), axis=1) / self.n)
 
 
 def empirical_covariance(data: Dataset, views: tuple[OrderedView, ...],

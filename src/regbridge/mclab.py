@@ -38,7 +38,7 @@ import numpy as np
 
 from . import fixtures
 from .adequacy import run_adequacy_test
-from .bridge import check_levels, evaluate, floor_index, residual_bridge
+from .bridge import evaluate, residual_bridge
 from .cli import EXIT_OK, EXIT_TOLERANCE, canonical_json, check_targets
 from .dataset import write_csv
 from .errors import UnsupportedModelError, ValidationError
@@ -48,7 +48,7 @@ from .fixtures import (AddQuadratic, AffineQuantile, GaussianCopula,
                        analytic_covariance, sample_alternative,
                        sample_concomitant, sample_h0)
 from .ols import fit_lse
-from .ordering import all_orderings, order_by
+from .ordering import all_orderings, check_levels, floor_index, order_by
 from .rng import as_seed_key
 
 __all__ = [
@@ -626,7 +626,8 @@ def cmd_verify(args) -> int:
         tables = [f"{root}_{case['model']}{ext or '.csv'}" for case in cases]
     if args.n_jobs < 1:
         raise ValidationError(f"--n-jobs must be >= 1, got {args.n_jobs}")
-    check_targets([("--out", args.out)] + [("--emit-table", t) for t in tables])
+    check_targets([("--out", args.out)] + [("--emit-table", t) for t in tables],
+                  ignored=[] if per_case else [("--emit-table", args.emit_table)])
 
     # An override applies when the fixture case has the field it sets
     # (--n sets n or n_values); the other flags, when the row reads them.

@@ -7,10 +7,11 @@ ordering vector and cumulates a table of per-row marks along that order.
 kernel's running-mean curve the regressor columns.  The lab's `sums`
 experiment calls it with the response as the one mark.  Sorting is
 stable, so repeated calls give identical permutations.  Rows tied on the
-ordering vector form one block, and at every node inside a block the
-table holds the sum to the end of the block (Stute 1997): the sum over
-every row at or below the node's value, the `<=` rule of the kernel's
-pairwise cdf.  So no output depends on the input row order.
+ordering vector form one block, and a node's block end, the count of rows
+at or below its value, is the package's one `<=` tie rule: the table
+holds the sum to the block end (Stute 1997) and the kernel's pairwise
+cdf counts rows by it, so no output depends on the input row order.  A
+level t reads node [nt], `floor_index`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,26 @@ from .dataset import Dataset
 from .errors import ValidationError
 from .ols import FitResult
 
-__all__ = ["OrderedView", "order_by", "all_orderings"]
+__all__ = ["OrderedView", "order_by", "all_orderings", "floor_index"]
+
+
+def check_levels(t, message: str = "levels must lie in [0, 1]") -> np.ndarray:
+    """t as a float array; raises ValidationError(message) unless every
+    entry lies in [0, 1], so NaN is refused too."""
+    t = np.asarray(t, dtype=float)
+    if not np.all((t >= 0.0) & (t <= 1.0)):
+        raise ValidationError(message)
+    return t
+
+
+def floor_index(n: int, t) -> np.ndarray:
+    """Count of order statistics at or below level t: the [nt] convention.
+
+    A small forward nudge keeps products like 0.3 * 10 from landing one
+    step low through floating-point rounding.
+    """
+    t = check_levels(t, "grid levels must lie in [0, 1]")
+    return np.minimum(np.maximum(np.floor(n * t + 1e-9).astype(int), 0), n)
 
 
 @dataclass(frozen=True)
@@ -31,16 +51,16 @@ class OrderedView:
     """One ordering vector's sort and running sums of marks.
 
     `column` labels the view (the design column it sorts by, or -1).
-    `perm` is the stable sort permutation of the ordering vector and
-    `sorted_column` the vector in that order.  `sums` is (n + 1, k): row
-    i is the sum of the marks over the first i sorted rows, taken to the
-    end of i's tie block.  All three are read-only and share no memory
-    with their inputs.
+    `perm` is the stable sort permutation of the ordering vector.  `ends`
+    (n + 1,) holds the block ends: ends[i] counts the rows at or below the
+    i-th sorted value, and ends[0] is 0.  `sums` is (n + 1, k): row i sums
+    the marks over the first ends[i] sorted rows.  All three are
+    read-only and share no memory with their inputs.
     """
 
     column: int
     perm: np.ndarray
-    sorted_column: np.ndarray
+    ends: np.ndarray
     sums: np.ndarray
 
     @property
@@ -59,12 +79,14 @@ def order_by(values, marks, column: int = -1) -> OrderedView:
     sums = np.zeros((len(values) + 1, marks.shape[1]))
     np.take(marks, perm, axis=0, out=sums[1:])
     np.cumsum(sums[1:], axis=0, out=sums[1:])
+    ends = np.arange(len(values) + 1)
     if (scol[1:] == scol[:-1]).any():
         # Block-end rule: node k reads the sum over every row <= its value.
-        sums[1:] = sums[np.searchsorted(scol, scol, side="right")]
-    for a in (perm, scol, sums):
+        ends[1:] = np.searchsorted(scol, scol, side="right")
+        sums = sums[ends]
+    for a in (perm, ends, sums):
         a.setflags(write=False)
-    return OrderedView(column=column, perm=perm, sorted_column=scol, sums=sums)
+    return OrderedView(column=column, perm=perm, ends=ends, sums=sums)
 
 
 def all_orderings(data: Dataset, fit: FitResult) -> tuple[OrderedView, ...]:

@@ -1022,6 +1022,41 @@ class TestVerifyCommand:
 
 # Public lab names that once lived in the pipeline modules `dataset` and
 # `covmodel`.
+TEST_ARGS = ["test", "--input", "missing.csv", "--response", "y",
+             "--order-columns", "x1", "--intercept", "const"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (TEST_ARGS + ["--out", ""], "--out"),
+    (TEST_ARGS + ["--emit-null", ""], "--emit-null"),
+    (TEST_ARGS + ["--emit-bridges", ""], "--emit-bridges"),
+    (["simulate", "--n", "50", "--out", ""], "--out"),
+    (["verify", "--experiment", "gram-identity", "--out", ""], "--out"),
+    (["verify", "--experiment", "sums", "--emit-table", ""], "--emit-table"),
+    (["verify", "--experiment", "gram-identity", "--emit-table", ""],
+     "--emit-table"),
+], ids=["test-out", "test-emit-null", "test-emit-bridges", "simulate-out",
+        "verify-out", "verify-emit-table", "verify-ignored-emit-table"])
+def test_empty_output_path_is_input_error(argv, flag, tmp_path, monkeypatch,
+                                          capsys):
+    # Refused before the input is read (`test` names a missing file) or
+    # any experiment runs, even where the experiment ignores the flag.
+    from regbridge import mclab
+
+    def must_not_run(*args):
+        raise AssertionError("the experiment ran")
+
+    for name, (_, reads) in mclab._EXPERIMENTS.items():
+        monkeypatch.setitem(mclab._EXPERIMENTS, name, (must_not_run, reads))
+    monkeypatch.chdir(tmp_path)
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert rc == EXIT_INPUT
+    assert out == ""
+    assert err == f"error: {flag}: empty path\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 LAB_NAMES = ("AffineQuantile", "IndependenceCopula", "GaussianCopula",
              "NoiseSpec", "SyntheticModel",
              "AddQuadratic", "Heteroscedastic", "sample_h0",

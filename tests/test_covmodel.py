@@ -346,7 +346,7 @@ def ordering_covariances(draw):
 
 
 def khat_grid_twice(cov, i, j, svals, tvals):
-    """Reference: each side's curve and thresholds evaluated on its own.
+    """Reference: each side's curve and row counts evaluated on its own.
 
     `tvals` is copied, so `cdf_grid` never sees the same array twice.
     """
@@ -362,22 +362,28 @@ class TestSharedKernelIngredients:
 
     @given(case=ordering_covariances(), levels=LEVEL_LISTS,
            m=st.integers(2, 30))
-    def test_diagonal_blocks_match_separate_evaluation(self, case, levels, m):
+    def test_every_block_matches_separate_evaluation(self, case, levels, m):
+        # A cross block given one array twice still counts each slot's
+        # rows by its own view.
         _, cov = case
         for pts in (GridSpec(m).points(), np.array(levels)):
             for i in range(cov.d_order):
-                ref = khat_grid_twice(cov, i, i, pts, pts).tobytes()
-                assert cov.khat_grid(i, i, pts, pts).tobytes() == ref
-                assert cov.khat_grid(i, i, pts, pts.copy()).tobytes() == ref
-                assert cov.khat_grid(i, i, list(pts), pts).tobytes() == ref
+                for j in range(cov.d_order):
+                    ref = khat_grid_twice(cov, i, j, pts, pts).tobytes()
+                    assert cov.khat_grid(i, j, pts, pts).tobytes() == ref
+                    assert cov.khat_grid(i, j, pts, pts.copy()).tobytes() == ref
+                    assert cov.khat_grid(i, j, list(pts), pts).tobytes() == ref
 
     @given(case=ordering_covariances())
     def test_sorted_columns_come_from_the_views(self, case):
         cols, cov = case
         for k, col in enumerate(cols):
-            srt = cov.views[k].sorted_column
-            assert srt.flags.c_contiguous
+            v = cov.views[k]
+            srt = np.asarray(col)[v.perm]
+            assert v.ends.flags.c_contiguous
             assert np.array_equal(srt, np.sort(col))
+            assert np.array_equal(v.ends[1:],
+                                  np.searchsorted(srt, srt, side="right"))
 
 
 # ======================================================================
@@ -443,6 +449,22 @@ class TestEmpiricalCovariance:
         diff = emp.khat_grid(0, 0, levels, levels) - ana.khat_grid(
             0, 0, levels, levels)
         assert np.max(np.abs(diff)) < 0.02
+
+    def test_levels_must_be_scalar_or_one_dimensional(self):
+        # The grid is (len(s), len(t)), so deeper level arrays are refused
+        # by the estimated and the closed-form kernel alike.
+        model = rb.fixtures.MODELS["two-uniform"]
+        d = rb.sample_h0(model, 60, 15)
+        fit = rb.fit_lse(d)
+        for cov in (rb.empirical_covariance(d, rb.all_orderings(d, fit),
+                                            gram=fit.gram),
+                    rb.analytic_covariance(model)):
+            for i, j in [(0, 0), (0, 1)]:
+                assert cov.khat_grid(i, j, 0.5, [0.3, 0.7]).shape == (1, 2)
+                for s, t in [([[0.5, 0.2]], [0.3]), ([0.3], [[0.5], [0.2]]),
+                             ([[0.5]], [[0.5]])]:
+                    with pytest.raises(ValidationError, match="1-D"):
+                        cov.khat_grid(i, j, s, t)
 
     def test_views_must_cover_order_columns(self):
         d = rb.sample_h0(rb.fixtures.MODELS["two-uniform"], 100, 16)

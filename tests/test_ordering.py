@@ -34,9 +34,8 @@ class TestOrderBy:
         d = rb.sample_h0(rb.fixtures.MODELS["two-uniform"], 64, 3)
         fit = rb.fit_lse(d)
         for v in rb.all_orderings(d, fit):
-            j = v.column
-            assert np.all(np.diff(v.sorted_column) >= 0)
-            assert np.array_equal(v.sorted_column, d.regressors[v.perm, j])
+            assert np.all(np.diff(d.regressors[v.perm, v.column]) >= 0)
+            assert np.array_equal(v.ends, np.arange(d.n + 1))
             rows = np.column_stack([fit.residuals, d.regressors])[v.perm]
             assert np.array_equal(v.sums, np.vstack([np.zeros((1, 4)),
                                                      np.cumsum(rows, axis=0)]))
@@ -45,7 +44,7 @@ class TestOrderBy:
         d = rb.sample_h0(rb.fixtures.MODELS["two-uniform"], 64, 4)
         fit = rb.fit_lse(d)
         for v in rb.all_orderings(d, fit):
-            for a in (v.perm, v.sorted_column, v.sums):
+            for a in (v.perm, v.ends, v.sums):
                 assert not a.flags.writeable
                 for source in (d.regressors, d.response, fit.residuals):
                     assert not np.shares_memory(a, source)
@@ -78,9 +77,11 @@ class TestOrderBy:
         v = rb.order_by(values, marks)
         assert v.column == -1
         assert v.sums.shape == (len(values) + 1, marks.shape[1])
-        assert not v.sums[0].any()
+        assert not v.sums[0].any() and v.ends[0] == 0
         for i in range(1, len(values) + 1):
-            expect = marks[values <= v.sorted_column[i - 1]].sum(axis=0)
+            below = values <= values[v.perm[i - 1]]
+            assert v.ends[i] == below.sum()
+            expect = marks[below].sum(axis=0)
             assert np.allclose(v.sums[i], expect, rtol=0.0, atol=1e-9)
         moved = rb.order_by(values[perm], marks[perm])
         assert np.allclose(moved.sums, v.sums, rtol=0.0, atol=1e-9)
